@@ -21,8 +21,10 @@ tier1: vet
 		./internal/distrun/... ./internal/pselinv/... ./internal/dense/... \
 		./internal/server/...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -83,7 +85,8 @@ balancer-smoke:
 			-balancer $$b -schemes shifted || exit 1; \
 	done
 
-# Multi-pole batch smoke: the batch-engine parity and allocation-flatness
+# Multi-pole batch smoke: the batch-engine parity (bit-exact for a fixed
+# plan, tolerance against the serial reference) and allocation-flatness
 # tests plus the server batch-endpoint contract under the race detector,
 # then a real 16-pole complex Matsubara batch through cmd/pexsi. See
 # EXPERIMENTS.md "Multi-pole batch throughput".

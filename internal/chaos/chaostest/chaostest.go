@@ -1,9 +1,9 @@
 // Package chaostest is the chaos sweep runner: it executes an engine once
-// unperturbed to establish a deterministic baseline, then once per seed
-// under a chaos adversary, asserting that every perturbed run reproduces
-// the baseline bit for bit and conserves communication volume. A failing
-// seed is reported with the full deadlock snapshot so it reproduces from
-// its ID alone.
+// unperturbed to establish a baseline, then once per seed under a chaos
+// adversary, asserting that every perturbed run reproduces the baseline
+// bit for bit and conserves communication volume. A failing seed is
+// reported with the full deadlock snapshot so it reproduces from its ID
+// alone.
 package chaostest
 
 import (
@@ -69,17 +69,14 @@ func compareExact(base map[blockmat.Key][]float64, res *pselinv.RunResult) strin
 }
 
 // Sweep runs eng once unperturbed (twice, actually: the baseline is rerun
-// to prove the deterministic mode really is scheduling-independent before
-// any adversary is blamed), then once per seed under the cfg adversary.
-// Every world — baseline and perturbed — must pass CheckConservation, and
-// every perturbed result must equal the baseline element-exactly. cfg.Seed
-// is overwritten by each sweep seed. The engine's Deterministic flag is
-// forced on and its Chaos field is left untouched.
+// to prove the run really is scheduling-independent before any adversary
+// is blamed), then once per seed under the cfg adversary. Every world —
+// baseline and perturbed — must pass CheckConservation, and every
+// perturbed result must equal the baseline element-exactly. cfg.Seed is
+// overwritten by each sweep seed. The sweep builds its own worlds, so the
+// engine's Chaos field plays no part.
 func Sweep(tb TB, eng *pselinv.Engine, cfg chaos.Config, seeds []uint64, timeout time.Duration) {
 	tb.Helper()
-	savedDet, savedChaos := eng.Deterministic, eng.Chaos
-	eng.Deterministic, eng.Chaos = true, nil
-	defer func() { eng.Deterministic, eng.Chaos = savedDet, savedChaos }()
 
 	runOnce := func(label string, adv *chaos.Config) (map[blockmat.Key][]float64, *simmpi.World) {
 		world := simmpi.NewWorld(eng.Plan.Grid.Size())
@@ -104,7 +101,7 @@ func Sweep(tb TB, eng *pselinv.Engine, cfg chaos.Config, seeds []uint64, timeout
 	base, _ := runOnce("baseline", nil)
 	rerun, _ := runOnce("baseline-rerun", nil)
 	if diff := diffSnaps(base, rerun); diff != "" {
-		tb.Fatalf("chaos sweep: deterministic mode is not scheduling-independent; baseline rerun differs: %s", diff)
+		tb.Fatalf("chaos sweep: run is not scheduling-independent; baseline rerun differs: %s", diff)
 	}
 
 	for _, seed := range seeds {

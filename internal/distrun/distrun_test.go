@@ -198,7 +198,6 @@ func TestDistributedChaosMatchesInProcess(t *testing.T) {
 	spec.PR, spec.PC = 2, 2 // square grid: row-reduce traffic is nonzero
 	spec.ChaosEnabled = true
 	spec.ChaosSeed = 7
-	spec.Deterministic = true
 	schemes := []core.Scheme{core.BinaryTree}
 
 	pipe, err := exp.Prepare(gen, spec.Relax, spec.MaxWidth)
@@ -225,9 +224,8 @@ func TestDistributedChaosMatchesInProcess(t *testing.T) {
 // TestCrossBackendBalancerEquivalence: a non-default supernode→process
 // balancer is a pure function of (pattern, grid), so four OS processes
 // re-deriving the work-greedy owner map independently must route exactly
-// the bytes the in-process backend routes. Runs deterministic on both
-// sides (the parity mode whose reductions forward canonical slots), so
-// the comparison pins the balancer end to end over a real TCP mesh.
+// the bytes the in-process backend routes, which pins the balancer end to
+// end over a real TCP mesh.
 func TestCrossBackendBalancerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 4 worker processes")
@@ -235,7 +233,6 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 	gen, spec := testProblem()
 	spec.PR, spec.PC = 2, 2 // square grid: row-reduce traffic is nonzero
 	spec.Balancer = "work"
-	spec.Deterministic = true
 	schemes := []core.Scheme{core.ShiftedBinaryTree}
 
 	pipe, err := exp.Prepare(gen, spec.Relax, spec.MaxWidth)
@@ -243,7 +240,7 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, err := exp.MeasureVolumesOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
-		60*time.Second, exp.RunOpts{Balancer: core.WorkBalancer, Deterministic: true})
+		60*time.Second, exp.RunOpts{Balancer: core.WorkBalancer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +268,27 @@ func TestDistributedRejectsUnknownBalancer(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "zigzag") {
 		t.Fatalf("error does not name the bad slug: %v", err)
+	}
+}
+
+// TestDistributedReportsWorkerBuildError: a spec that passes launcher
+// validation but fails in every worker (here: a missing matrix file) must
+// surface the worker's own error, whichever pipe operation the launcher
+// was on when the worker exited.
+func TestDistributedReportsWorkerBuildError(t *testing.T) {
+	_, spec := testProblem()
+	dir := t.TempDir()
+	spec.MatrixFile = filepath.Join(dir, "missing.mtx")
+	specPath, err := distrun.WriteSpec(dir, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = distrun.Launch(specPath, &spec, &distrun.Options{Stderr: testWriter{t}})
+	if err == nil {
+		t.Fatal("launch with a missing matrix file succeeded")
+	}
+	if !strings.Contains(err.Error(), "missing.mtx") {
+		t.Fatalf("error does not carry the worker's report: %v", err)
 	}
 }
 
@@ -304,13 +322,13 @@ func (w testWriter) Write(p []byte) (int, error) {
 }
 
 // TestDistributedComplexParityTCP: a complex-shift selected inversion on
-// four OS processes meshed over TCP must be bit-identical to the serial
-// zselinv reference. Workers discard their A⁻¹ shares after the run, so
-// the check is distributed too: every rank recomputes the serial
-// reference locally and verifies each block it owns word-for-word
+// four OS processes meshed over TCP must be bit-identical to an
+// in-process run of the same plan, and agree with the serial zselinv
+// reference to within zselinv.RelTol. Workers discard their A⁻¹ shares
+// after the run, so the check is distributed too: every rank recomputes
+// both references locally and verifies each block it owns
 // (Spec.SelfCheck); the launcher then checks the shares cover the whole
-// selected inverse — together that is full bitwise parity over a real
-// TCP mesh.
+// selected inverse.
 func TestDistributedComplexParityTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 8 worker processes")

@@ -3,11 +3,13 @@ package distrun
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"time"
 
 	"pselinv/internal/core"
@@ -135,6 +137,58 @@ type launchedWorker struct {
 	resCh  chan Result
 	obsCh  chan *obs.Snapshot
 	scanCh chan error // scanner goroutine exit status
+	tail   tailBuffer // last bytes of the worker's stderr and stray stdout
+}
+
+// reapGrace bounds how long the launcher waits for a worker whose pipe
+// failed to exit on its own before killing it.
+const reapGrace = 10 * time.Second
+
+// failure reaps a worker after a failed pipe write or result read and
+// explains it, preferring the worker's own reported error over the
+// transport error the launcher saw; the tail of the worker's stderr is
+// appended either way. grace bounds the wait for the worker to exit by
+// itself (0 kills it at once).
+func (w *launchedWorker) failure(rank int, transportErr error, grace time.Duration) error {
+	select {
+	case <-w.scanCh:
+	case <-time.After(grace):
+		w.cmd.Process.Kill()
+		<-w.scanCh
+	}
+	werr := w.cmd.Wait()
+	msg := fmt.Sprintf("distrun: rank %d: %v (process: %v)", rank, transportErr, werr)
+	if res, ok := <-w.resCh; ok && res.Error != "" {
+		msg = fmt.Sprintf("distrun: rank %d failed: %s", rank, res.Error)
+	}
+	if tail := w.tail.String(); tail != "" {
+		msg += "\nworker stderr (tail):\n" + tail
+	}
+	return errors.New(msg)
+}
+
+// tailBuffer keeps the last tailBytes written to it.
+type tailBuffer struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+const tailBytes = 4 << 10
+
+func (t *tailBuffer) Write(p []byte) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.buf = append(t.buf, p...)
+	if over := len(t.buf) - tailBytes; over > 0 {
+		t.buf = append(t.buf[:0], t.buf[over:]...)
+	}
+	return len(p), nil
+}
+
+func (t *tailBuffer) String() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return strings.TrimRight(string(t.buf), "\n")
 }
 
 // Launch runs the spec across P() worker processes on localhost and
@@ -142,12 +196,13 @@ type launchedWorker struct {
 // already be on disk; use StageMatrix/WriteSpec or see MeasureVolumes for
 // the end-to-end convenience path. On worker failure the returned error
 // includes every failing rank's message — for timeouts that embeds the
-// worker's in-flight snapshot.
+// worker's in-flight snapshot. The spec is validated before anything is
+// spawned.
 func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
-	p := spec.P()
-	if p <= 0 {
-		return nil, fmt.Errorf("distrun: empty world (%dx%d grid)", spec.PR, spec.PC)
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
+	p := spec.P()
 	argv, err := opts.workerCmd()
 	if err != nil {
 		return nil, err
@@ -179,11 +234,13 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 		select {
 		case addr, ok := <-w.addrCh:
 			if !ok {
-				return nil, fmt.Errorf("distrun: rank %d exited before publishing its address", r)
+				workers[r] = nil
+				return nil, w.failure(r, errors.New("exited before publishing its address"), reapGrace)
 			}
 			addrs[r] = addr
 		case <-setupDeadline:
-			return nil, fmt.Errorf("distrun: rank %d did not publish an address within %v", r, opts.setupTimeout())
+			workers[r] = nil
+			return nil, w.failure(r, fmt.Errorf("no address published within %v", opts.setupTimeout()), 0)
 		}
 	}
 
@@ -195,7 +252,8 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 	}
 	for r, w := range workers {
 		if _, err := fmt.Fprintf(w.stdin, "%s\n", addrLine); err != nil {
-			return nil, fmt.Errorf("distrun: sending address map to rank %d: %w", r, err)
+			workers[r] = nil
+			return nil, w.failure(r, fmt.Errorf("sending address map: %w", err), reapGrace)
 		}
 		w.stdin.Close()
 	}
@@ -213,9 +271,8 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 		select {
 		case res, ok := <-w.resCh:
 			if !ok {
-				werr := w.cmd.Wait()
 				workers[r] = nil
-				return nil, fmt.Errorf("distrun: rank %d exited without a result (%v)", r, werr)
+				return nil, w.failure(r, errors.New("exited without a result"), reapGrace)
 			}
 			if res.Rank != r {
 				return nil, fmt.Errorf("distrun: rank %d reported itself as rank %d", r, res.Rank)
@@ -238,8 +295,8 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 				outcome.Elapsed = e
 			}
 		case <-resultDeadline:
-			return nil, fmt.Errorf("distrun: rank %d produced no result within %v of the engine deadline",
-				r, opts.setupTimeout())
+			workers[r] = nil
+			return nil, w.failure(r, fmt.Errorf("no result within %v of the engine deadline", opts.setupTimeout()), 0)
 		}
 	}
 	for r, w := range workers {
@@ -265,7 +322,6 @@ func spawnWorker(argv []string, specPath string, rank int, errSink io.Writer) (*
 		EnvSpec+"="+specPath,
 		fmt.Sprintf("%s=%d", EnvRank, rank),
 	)
-	cmd.Stderr = errSink
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
@@ -282,6 +338,8 @@ func spawnWorker(argv []string, specPath string, rank int, errSink io.Writer) (*
 		obsCh:  make(chan *obs.Snapshot, 1),
 		scanCh: make(chan error, 1),
 	}
+	errSink = io.MultiWriter(errSink, &w.tail)
+	cmd.Stderr = errSink
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}

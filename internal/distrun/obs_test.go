@@ -27,7 +27,6 @@ func TestDistributedObservability(t *testing.T) {
 	}
 	gen, spec := testProblem()
 	spec.PR, spec.PC = 2, 2
-	spec.Deterministic = true
 	schemes := []core.Scheme{core.BinaryTree}
 
 	ms, err := distrun.MeasureObs(gen, spec, schemes, &distrun.Options{Stderr: testWriter{t}})
@@ -91,7 +90,7 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, err := exp.MeasureObsOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
-		60*time.Second, exp.RunOpts{Deterministic: true})
+		60*time.Second, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,22 +67,19 @@ type Spec struct {
 
 	// Complex switches the run to the complex-shift kernel: the staged
 	// matrix is factorized as A − zI with z = ZRe + i·ZIm on a general
-	// (asymmetric-path) plan. The engine forces canonical-slot
-	// deterministic reductions for complex element types, so the result is
-	// bit-identical to the serial zselinv reference on every transport.
+	// (asymmetric-path) plan. The result is bit-exact for a fixed plan on
+	// every transport, and within zselinv.RelTol of the serial reference.
 	Complex bool    `json:"complex,omitempty"`
 	ZRe     float64 `json:"z_re,omitempty"`
 	ZIm     float64 `json:"z_im,omitempty"`
 	// SelfCheck makes every worker verify each result block it owns
-	// bitwise against a locally recomputed serial reference before
-	// reporting (complex runs only). Workers discard their A⁻¹ shares, so
-	// this is how a multi-process run certifies numerical parity: each
-	// rank checks its own share, and the launcher sums the counts.
+	// before reporting (complex runs only): bit for bit against an
+	// in-process run of the same plan, and to within zselinv.RelTol against
+	// the serial reference. Workers discard their A⁻¹ shares, so this is
+	// how a multi-process run certifies its numerics: each rank checks its
+	// own share, and the launcher sums the counts.
 	SelfCheck bool `json:"self_check,omitempty"`
 
-	// Deterministic forces slot-based reductions (bit-exact results
-	// independent of delivery order).
-	Deterministic bool `json:"deterministic,omitempty"`
 	// ChaosEnabled installs the seeded chaos adversary (ChaosSeed) on
 	// every worker's world. The adversary's decisions are pure functions
 	// of (seed, src, dst, link serial), so the perturbation is the same
@@ -172,10 +169,40 @@ func ReadSpec(path string) (*Spec, error) {
 	return s, nil
 }
 
+// Validate checks the grid and the scheme and balancer slugs, naming the
+// valid values on error. The launcher runs it before spawning anything,
+// so a bad spec fails with its own message instead of a worker exit
+// racing the launcher's pipe writes.
+func (s *Spec) Validate() error {
+	if s.PR <= 0 || s.PC <= 0 {
+		return fmt.Errorf("distrun: invalid %dx%d grid", s.PR, s.PC)
+	}
+	if _, err := core.ParseScheme(s.Scheme.Slug()); err != nil {
+		return fmt.Errorf("distrun: %w", err)
+	}
+	_, err := s.balancer()
+	return err
+}
+
+// balancer parses the balancer slug (empty = cyclic).
+func (s *Spec) balancer() (core.Balancer, error) {
+	if s.Balancer == "" {
+		return core.CyclicBalancer, nil
+	}
+	b, err := core.ParseBalancer(s.Balancer)
+	if err != nil {
+		return 0, fmt.Errorf("distrun: %w", err)
+	}
+	return b, nil
+}
+
 // Build reconstructs the pipeline, plan and engine the spec describes.
 // Every field that influences the result is in the spec, so concurrent
 // workers build identical plans.
 func (s *Spec) Build() (*exp.Pipeline, *core.Plan, *pselinv.Engine, error) {
+	if err := s.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
 	f, err := os.Open(s.MatrixFile)
 	if err != nil {
 		return nil, nil, nil, err
@@ -197,18 +224,11 @@ func (s *Spec) Build() (*exp.Pipeline, *core.Plan, *pselinv.Engine, error) {
 	} else if pipe, err = exp.Prepare(gen, s.Relax, s.MaxWidth); err != nil {
 		return nil, nil, nil, err
 	}
-	bal := core.CyclicBalancer
-	if s.Balancer != "" {
-		if bal, err = core.ParseBalancer(s.Balancer); err != nil {
-			return nil, nil, nil, fmt.Errorf("distrun: %w", err)
-		}
-	}
+	bal, _ := s.balancer() // validated above
 	plan := core.NewPlanConfig(pipe.An.BP, procgrid.New(s.PR, s.PC), core.PlanConfig{
 		Scheme: s.Scheme, Seed: s.Seed, Symmetric: !s.Complex,
 		Balancer: bal,
 		Topo:     core.Topology{CoresPerNode: s.CoresPerNode},
 	})
-	eng := pselinv.NewEngine(plan, pipe.LU)
-	eng.Deterministic = s.Deterministic
-	return pipe, plan, eng, nil
+	return pipe, plan, pselinv.NewEngine(plan, pipe.LU), nil
 }

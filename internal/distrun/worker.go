@@ -69,9 +69,9 @@ type Result struct {
 	// DialRetries counts mesh-setup dial attempts that had to back off.
 	DialRetries int64 `json:"dial_retries,omitempty"`
 	// CheckedBlocks is the number of result blocks this worker verified
-	// bitwise against its local serial reference (Spec.SelfCheck).
+	// against its local references (Spec.SelfCheck).
 	CheckedBlocks int64 `json:"checked_blocks,omitempty"`
-	ElapsedNS   int64 `json:"elapsed_ns"`
+	ElapsedNS     int64 `json:"elapsed_ns"`
 	// Error carries the failure, including the chaos-style in-flight
 	// snapshot for timeouts, so the launcher can surface which ranks were
 	// stuck where even though the worlds live in separate processes.
@@ -232,7 +232,7 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	}
 	if runRes != nil {
 		if spec.SelfCheck && spec.Complex {
-			n, err := selfCheckComplex(rank, spec, pipe, runRes)
+			n, err := selfCheckComplex(rank, spec, pipe, eng, runRes)
 			if err != nil {
 				runRes.Release()
 				return fail(err)
@@ -247,14 +247,21 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	return res
 }
 
-// selfCheckComplex recomputes the serial zselinv reference from this
-// worker's own factorization and compares every result block the rank
-// gathered word-for-word (math.Float64bits). On a distributed transport
-// the gathered result holds exactly this rank's share, so the union of
-// all workers' checks covers the full selected inverse.
-func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, runRes *pselinv.RunResult) (int64, error) {
+// selfCheckComplex verifies every result block the rank gathered against
+// two local references: an in-process run of the same plan, which it must
+// match bit for bit, and the serial zselinv reference, which it must match
+// within zselinv.RelTol. On a distributed transport the gathered result
+// holds exactly this rank's share, so the union of all workers' checks
+// covers the full selected inverse.
+func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, eng *pselinv.Engine, runRes *pselinv.RunResult) (int64, error) {
+	local, err := eng.Rebind(pipe.LU).Run(spec.Timeout())
+	if err != nil {
+		return 0, fmt.Errorf("rank %d: in-process reference run: %w", rank, err)
+	}
+	defer local.Release()
 	ref := zselinv.SelInvFromLU(pipe.LU, complex(spec.ZRe, spec.ZIm))
 	defer ref.Release()
+	tol := zselinv.RelTol * ref.Scale()
 	var checked int64
 	var checkErr error
 	runRes.Ainv.Range(func(key blockmat.Key, got *dense.Matrix) {
@@ -270,12 +277,18 @@ func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, runRes *pselinv.
 			checkErr = fmt.Errorf("rank %d: block (%d,%d) shape/element mismatch vs serial reference", rank, key.I, key.J)
 			return
 		}
+		same, _ := local.Ainv.Get(key.I, key.J)
 		for w := range got.Data {
-			if math.Float64bits(got.Data[w]) != math.Float64bits(want.Data[w]) {
-				checkErr = fmt.Errorf("rank %d: block (%d,%d) word %d differs from serial reference: %x vs %x",
-					rank, key.I, key.J, w, math.Float64bits(got.Data[w]), math.Float64bits(want.Data[w]))
+			if math.Float64bits(got.Data[w]) != math.Float64bits(same.Data[w]) {
+				checkErr = fmt.Errorf("rank %d: block (%d,%d) word %d differs from the in-process run of the same plan: %x vs %x",
+					rank, key.I, key.J, w, math.Float64bits(got.Data[w]), math.Float64bits(same.Data[w]))
 				return
 			}
+		}
+		if d := got.MaxAbsDiff(want); d > tol {
+			checkErr = fmt.Errorf("rank %d: block (%d,%d) differs from serial reference by %g (tolerance %g)",
+				rank, key.I, key.J, d, tol)
+			return
 		}
 		checked++
 	})

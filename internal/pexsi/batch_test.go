@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pselinv/internal/core"
+	"pselinv/internal/dense"
 	"pselinv/internal/sparse"
 )
 
@@ -21,6 +22,26 @@ func sameBits(t *testing.T, want, got []float64, label string) {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("%s: density[%d] differs: %x vs %x (%g vs %g)",
 				label, i, math.Float64bits(want[i]), math.Float64bits(got[i]), want[i], got[i])
+		}
+	}
+}
+
+// closeTo asserts two density vectors agree within 1e-12 relative to the
+// largest entry: the contract between engine runs on different plans
+// (here: distributed versus serial), whose reduce trees form partial sums
+// in different orders.
+func closeTo(t *testing.T, want, got []float64, label string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d vs %d", label, len(want), len(got))
+	}
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range want {
+		if d := math.Abs(want[i] - got[i]); d > 1e-12*scale {
+			t.Fatalf("%s: density[%d] differs by %g (%g vs %g)", label, i, d, want[i], got[i])
 		}
 	}
 }
@@ -64,30 +85,42 @@ func TestBatchMatchesRunComplexDistributed(t *testing.T) {
 	}
 	sameBits(t, single.Density, batch.Density, "distributed batch vs RunComplex")
 
-	// The distributed engine is bit-identical to the serial reference, so
-	// Procs=4 batch must also match the Procs=1 batch exactly.
+	// Across plans the distributed engine agrees with the serial
+	// reference within tolerance.
 	serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, serial.Density, batch.Density, "distributed batch vs serial batch")
+	closeTo(t, serial.Density, batch.Density, "distributed batch vs serial batch")
 }
 
+// TestBatchDagMatchesSerial: with the worker pool genuinely concurrent, a
+// DAG batch is bit-identical to the sequential batch on the same plan and
+// within tolerance of the serial batch.
 func TestBatchDagMatchesSerial(t *testing.T) {
+	dense.SetWorkers(4)
+	defer dense.SetWorkers(0)
 	h := sparse.Grid2D(8, 8, 11)
 	poles := mustPoles(t, 3, 2.0, 50.0)
 	serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dag, err := RunBatch(h, BatchConfig{
+	cfg := BatchConfig{
 		Poles: poles, Relax: 4, MaxWidth: 16,
-		Procs: 4, Scheme: core.BinaryTree, DAG: true, Seed: 3,
-	})
+		Procs: 4, Scheme: core.BinaryTree, Seed: 3,
+	}
+	seq, err := RunBatch(h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, serial.Density, dag.Density, "DAG batch vs serial batch")
+	cfg.DAG = true
+	dag, err := RunBatch(h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, seq.Density, dag.Density, "DAG batch vs sequential batch")
+	closeTo(t, serial.Density, dag.Density, "DAG batch vs serial batch")
 }
 
 // TestBatchAllocFlat pins the arena-recycling property: pole 0 pays for

@@ -58,10 +58,11 @@ type ComplexConfig struct {
 	MaxWidth int
 	Parallel bool // run poles concurrently
 	// Procs > 1 evaluates each pole on the distributed engine (general
-	// plan, canonical-slot deterministic reductions) instead of the serial
-	// kernel; the engine is bit-identical to the serial reference, so the
-	// density is the same either way. The remaining knobs configure the
-	// engine and are ignored for Procs ≤ 1.
+	// plan) instead of the serial kernel. The density is bit-exact for a
+	// fixed engine plan (Procs, Scheme, Balancer, Seed) with or without
+	// DAG, and agrees with the serial evaluation to within 1e-12 relative
+	// to the largest entry of each pole's selected inverse. The remaining
+	// knobs configure the engine and are ignored for Procs ≤ 1.
 	Procs    int
 	Scheme   core.Scheme
 	Balancer core.Balancer

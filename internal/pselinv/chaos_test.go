@@ -51,7 +51,7 @@ func chaosBalancerChoice(t testing.TB) core.Balancer {
 
 const chaosTimeout = 60 * time.Second
 
-// chaosEngine builds a deterministic-mode engine for a (matrix, grid) pair.
+// chaosEngine builds an engine for a (matrix, grid) pair.
 func chaosEngine(t testing.TB, g *sparse.Generated, opt etree.Options,
 	grid *procgrid.Grid, symmetric bool) *pselinv.Engine {
 	t.Helper()
@@ -74,9 +74,7 @@ func chaosEngineScheme(t testing.TB, g *sparse.Generated, opt etree.Options,
 		Topo:     core.Topology{CoresPerNode: coresPerNode},
 		Balancer: chaosBalancerChoice(t),
 	})
-	eng := pselinv.NewEngine(plan, lu)
-	eng.Deterministic = true
-	return eng
+	return pselinv.NewEngine(plan, lu)
 }
 
 func TestChaosSweepP4(t *testing.T) {
@@ -107,7 +105,7 @@ func TestChaosSweepP64(t *testing.T) {
 // topology-aware tree schemes at P=16 packed 8 ranks to a node (the node
 // boundary splits the 4×4 grid's columns). The schemes change message
 // routing only, so every chaos seed must still reproduce the
-// deterministic baseline bit for bit.
+// unperturbed baseline bit for bit.
 func TestChaosSweepTopoSchemes(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.TopoShiftedTree, core.BineTree} {
 		t.Run(scheme.Slug(), func(t *testing.T) {
@@ -141,7 +139,7 @@ func TestChaosSweepDag(t *testing.T) {
 
 // TestChaosDagMatchesSequentialBaseline closes the triangle: a chaos-
 // perturbed DAG run must match not only its own baseline but the
-// sequential deterministic baseline, seed for seed.
+// unperturbed sequential baseline, seed for seed.
 func TestChaosDagMatchesSequentialBaseline(t *testing.T) {
 	dense.SetWorkers(4)
 	defer dense.SetWorkers(0)
@@ -187,9 +185,9 @@ func TestChaosSweepAsymmetricPath(t *testing.T) {
 		chaostest.Seeds(4000, *chaosSeeds), chaosTimeout)
 }
 
-// TestChaosDeterministicModeMatchesReference guards the deterministic
-// reduction path against the sequential reference: bit-exact reproducibility
-// would be worthless if the slots summed to the wrong value.
+// TestChaosDeterministicModeMatchesReference guards the in-tree reduction
+// path against the sequential reference: bit-exact reproducibility would
+// be worthless if the fixed-order fold summed to the wrong value.
 func TestChaosDeterministicModeMatchesReference(t *testing.T) {
 	g := sparse.Grid2D(7, 7, 3)
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
@@ -200,7 +198,6 @@ func TestChaosDeterministicModeMatchesReference(t *testing.T) {
 	}
 	ref := selinv.SelInv(lu)
 	eng := pselinv.NewEngine(core.NewPlan(an.BP, procgrid.New(3, 3), core.ShiftedBinaryTree, 1), lu)
-	eng.Deterministic = true
 	res, err := eng.Run(chaosTimeout)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,12 @@
 // Complex parity suite: the distributed engine running a complex-shifted
-// factorization must be BIT-identical to the serial zselinv reference —
-// not merely close. Complex runs force deterministic canonical-slot
-// reductions inside the engine, and both sides share the factorization
-// and the element-generic dense kernels, so every scheme, balancer, DAG
-// setting and process count must reproduce the reference exactly. The
-// file lives in the external test package so it can import
-// internal/zselinv (which has no dependency back on pselinv).
+// factorization against the serial zselinv reference. Both sides share the
+// factorization and the element-generic dense kernels, and a one-rank run
+// uses the reference's bracketing exactly, so at P=1 the result must be
+// BIT-identical. At P>1 partial sums form inside the reduce trees, so the
+// bracketing depends on the plan: every scheme, balancer and DAG setting
+// must then agree with the reference to within zselinv.RelTol relative to
+// its largest entry. The file lives in the external test package so it can
+// import internal/zselinv (which has no dependency back on pselinv).
 package pselinv_test
 
 import (
@@ -40,13 +41,14 @@ func prepComplex(t testing.TB, g *sparse.Generated, opt etree.Options,
 	return an, lu, zselinv.SelInvFromLU(lu, z)
 }
 
-// runComplexAndCompareBits runs the parallel engine and requires every
-// block to be bit-identical (math.Float64bits on the interleaved storage)
-// to the serial reference.
-func runComplexAndCompareBits(t testing.TB, an *etree.Analysis, lu *factor.LU,
+// runComplexAndCompare runs the parallel engine and compares every block
+// with the serial reference: bit-identical (math.Float64bits on the
+// interleaved storage) on one rank, within zselinv.RelTol otherwise.
+func runComplexAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU,
 	ref *zselinv.Result, grid *procgrid.Grid, scheme core.Scheme,
 	balancer core.Balancer, dag bool) {
 	t.Helper()
+	tol := zselinv.RelTol * ref.Scale()
 	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{
 		Scheme: scheme, Seed: 1, Symmetric: false, Balancer: balancer,
 	})
@@ -74,6 +76,13 @@ func runComplexAndCompareBits(t testing.TB, an *etree.Analysis, lu *factor.LU,
 		if len(got.Data) != len(want.Data) {
 			t.Fatalf("block (%d,%d): payload %d words, want %d", key.I, key.J, len(got.Data), len(want.Data))
 		}
+		if grid.Size() > 1 {
+			if d := got.MaxAbsDiff(want); d > tol {
+				t.Fatalf("grid %v scheme %v balancer %v dag %v: block (%d,%d) off by %g (tolerance %g)",
+					grid, scheme, balancer, dag, key.I, key.J, d, tol)
+			}
+			continue
+		}
 		for x := range want.Data {
 			if math.Float64bits(got.Data[x]) != math.Float64bits(want.Data[x]) {
 				t.Fatalf("grid %v scheme %v balancer %v dag %v: block (%d,%d) word %d: %x != %x — not bit-identical",
@@ -85,7 +94,8 @@ func runComplexAndCompareBits(t testing.TB, an *etree.Analysis, lu *factor.LU,
 }
 
 // TestComplexParallelBitIdenticalToSerial is the headline parity matrix:
-// P ∈ {1, 4} × {flat, binary, shifted} × {cyclic, work}.
+// P ∈ {1, 4} × {flat, binary, shifted} × {cyclic, work}, bit-identical at
+// P=1 and within zselinv.RelTol at P=4.
 func TestComplexParallelBitIdenticalToSerial(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 3)
 	an, lu, ref := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(0.5, 1.5))
@@ -93,7 +103,7 @@ func TestComplexParallelBitIdenticalToSerial(t *testing.T) {
 		grid := procgrid.New(dims[0], dims[1])
 		for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
 			for _, bal := range []core.Balancer{core.CyclicBalancer, core.WorkBalancer} {
-				runComplexAndCompareBits(t, an, lu, ref, grid, scheme, bal, false)
+				runComplexAndCompare(t, an, lu, ref, grid, scheme, bal, false)
 			}
 		}
 	}
@@ -101,6 +111,8 @@ func TestComplexParallelBitIdenticalToSerial(t *testing.T) {
 
 // TestComplexParallelDagBitIdentical repeats the parity check with the
 // task-DAG scheduler enabled and the worker pool genuinely concurrent.
+// (DAG versus sequential on the same plan is bit-identical; the chaos
+// sweep and the pexsi batch tests pin that for complex runs.)
 func TestComplexParallelDagBitIdentical(t *testing.T) {
 	dense.SetWorkers(4)
 	defer dense.SetWorkers(0)
@@ -108,13 +120,13 @@ func TestComplexParallelDagBitIdentical(t *testing.T) {
 	an, lu, ref := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(-0.25, 2))
 	for _, dims := range [][2]int{{1, 1}, {2, 2}} {
 		for _, bal := range []core.Balancer{core.CyclicBalancer, core.WorkBalancer} {
-			runComplexAndCompareBits(t, an, lu, ref, procgrid.New(dims[0], dims[1]),
+			runComplexAndCompare(t, an, lu, ref, procgrid.New(dims[0], dims[1]),
 				core.ShiftedBinaryTree, bal, true)
 		}
 	}
 }
 
-// TestComplexMatrixZoo runs the bit-parity check across matrix families
+// TestComplexMatrixZoo runs the parity check across matrix families
 // (banded, 3-D grid, random symmetric pattern, DG) on the 2×2 grid.
 func TestComplexMatrixZoo(t *testing.T) {
 	for _, g := range []*sparse.Generated{
@@ -124,14 +136,14 @@ func TestComplexMatrixZoo(t *testing.T) {
 		sparse.DG2D(3, 3, 3, 4),
 	} {
 		an, lu, ref := prepComplex(t, g, etree.Options{Relax: 1, MaxWidth: 8}, complex(1, 2))
-		runComplexAndCompareBits(t, an, lu, ref, procgrid.New(2, 2), core.ShiftedBinaryTree,
+		runComplexAndCompare(t, an, lu, ref, procgrid.New(2, 2), core.ShiftedBinaryTree,
 			core.CyclicBalancer, false)
 	}
 }
 
 // TestComplexChaosSweep runs the seeded delivery adversary against a
-// complex engine: deterministic mode is forced for complex runs, so every
-// seed must reproduce the unperturbed baseline bit for bit.
+// complex engine: reductions fold in plan order, so every seed must
+// reproduce the unperturbed baseline bit for bit.
 func TestComplexChaosSweep(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 3)
 	an, lu, _ := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(0.5, 1))

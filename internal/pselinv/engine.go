@@ -7,11 +7,22 @@
 // describes: there are no barriers between supernodes; synchronization is
 // imposed only through data dependencies. Each rank runs an event loop
 // that receives messages in whatever order they arrive, forwards broadcast
-// data to its tree children, accumulates reduction contributions, executes
-// local GEMMs the moment their operands (a broadcast L̂ block and a
-// finalized A⁻¹ block) are available, and finalizes blocks it owns.
-// Supernodes on disjoint critical paths of the elimination tree therefore
-// proceed concurrently and pipeline.
+// data to its tree children, runs local GEMMs as their operands (a
+// broadcast L̂ block and a finalized A⁻¹ block) become available, sums
+// reductions inside the tree, and finalizes blocks it owns. Supernodes on
+// disjoint critical paths of the elimination tree therefore proceed
+// concurrently and pipeline.
+//
+// Reductions follow one protocol. Each reduce-tree node accumulates its
+// local contributions straight into one sum, in ascending canonical slot
+// order (the contributor's block-row position within the supernode
+// structure C); a contribution whose operands arrive early waits for its
+// turn. The node then folds its children's partial sums in Tree.Children
+// order and forwards one block to its parent, or finalizes it at the root.
+// Every floating-point operation therefore happens in an order fixed by
+// the plan, so a run is bit-exact for a fixed plan under any message
+// delivery order or worker-pool schedule, and the wire volume is the
+// paper's: one block per tree edge.
 package pselinv
 
 import (
@@ -34,12 +45,35 @@ import (
 // blockKey identifies a block (I, J) in per-rank maps.
 type blockKey struct{ I, J int }
 
-// gemmDesc is one local matrix product A⁻¹_{J,I}·L̂_{I,K} assigned to a rank.
-// Slot is the task's canonical position among ALL contributions to its
-// reduction — the index of its broadcast operand's block row within the
-// supernode structure C — used by deterministic mode to fold reductions in
-// an order every rank (and every supernode→process mapping) agrees on.
-type gemmDesc struct{ K, I, J, Slot int }
+// gemmDesc is one local matrix product assigned to a rank:
+// A⁻¹_{J,I}·L̂_{I,K} for a Row-Reduce, Û_{K,I}·A⁻¹_{I,J} for a Col-Reduce.
+type gemmDesc struct{ K, I, J int }
+
+// redKind names the three reductions of pass 2.
+type redKind uint8
+
+const (
+	redRow  redKind = iota // Row-Reduce onto A⁻¹_{J,K}: Σ A⁻¹_{J,I}·L̂_{I,K}
+	redCol                 // Col-Reduce onto A⁻¹_{K,J}: Σ Û_{K,I}·A⁻¹_{I,J}
+	redDiag                // Diag-Reduce onto A⁻¹_{K,K}: Σ L̂ᵀ_{J,K}·A⁻¹_{J,K} (Û_{K,J} on the general path)
+)
+
+var (
+	redClass    = [...]simmpi.Class{simmpi.ClassRowReduce, simmpi.ClassColReduce, simmpi.ClassDiagReduce}
+	redSpanKind = [...]string{"row-reduce", "col-reduce", "diag-reduce"}
+	gemmKind    = [...]string{"gemm", "gemm-u", "gemm"}
+)
+
+// redKey identifies one reduction: (kind, K, J), with J = K for Diag-Reduce.
+type redKey struct {
+	kind redKind
+	K, J int
+}
+
+// chain is the half-open range [lo, hi) of one reduction's local
+// contributions within a per-rank list (tasks, tasksU or diagJ), in
+// ascending canonical slot order.
+type chain struct{ lo, hi int32 }
 
 // rankProgram is the immutable per-rank role description derived centrally
 // from the communication plan (so that setup cost is proportional to the
@@ -47,26 +81,40 @@ type gemmDesc struct{ K, I, J, Slot int }
 type rankProgram struct {
 	expect1 int // messages this rank receives in pass 1
 	expect2 int // messages this rank receives in pass 2
+	nreds   int // reductions this rank takes part in (sizes rankState.reds)
 
 	diagRoots []int         // supernodes whose diagonal block this rank owns (C non-empty)
 	trsmByK   map[int][]int // K -> block rows I of owned L blocks to normalize
 	crossSrcs []blockKey    // (I, K): owned L̂ blocks to cross-send at pass-2 start
 	leafDiags []int         // supernodes with empty C whose diagonal this rank owns
 
-	tasks   []gemmDesc
+	tasks   []gemmDesc         // grouped by (K, J), ascending I within a group
 	byKI    map[blockKey][]int // (K, I) -> task indices waiting on that broadcast
 	byBlock map[blockKey][]int // (J, I) -> task indices waiting on that A⁻¹ block
 
-	rowLocal  map[blockKey]int // (K, J) -> local GEMM contributions to Row-Reduce
-	diagLocal map[int]int      // K -> local contributions to Diag-Reduce
+	diagJ []int // block rows J of owned Diag-Reduce contributions, grouped by K, ascending
+
+	// chains locates each reduction's local contributions: a range of
+	// tasks (Row-Reduce), tasksU (Col-Reduce) or diagJ (Diag-Reduce).
+	chains map[redKey]chain
 
 	// Asymmetric (general) path only:
 	trsmUByK   map[int][]int      // K -> block cols I of owned U blocks to normalize
 	crossUSrcs []blockKey         // (K, I): owned Û blocks to cross-send at pass-2 start
-	tasksU     []gemmDesc         // Û_{K,I}·A⁻¹_{I,J} products owned by this rank
+	tasksU     []gemmDesc         // Û_{K,I}·A⁻¹_{I,J} products, grouped by (K, J)
 	byKIU      map[blockKey][]int // (K, I) -> U-task indices waiting on that row broadcast
 	byBlockU   map[blockKey][]int // (I, J) -> U-task indices waiting on that A⁻¹ block
-	colLocal   map[blockKey]int   // (K, J) -> local U-GEMM contributions to Col-Reduce
+}
+
+// extend appends list index x to the chain of key. Callers append each
+// reduction's contributions consecutively, so the chain stays contiguous.
+func (pr *rankProgram) extend(key redKey, x int) {
+	c, ok := pr.chains[key]
+	if !ok {
+		c.lo = int32(x)
+	}
+	c.hi = int32(x + 1)
+	pr.chains[key] = c
 }
 
 // Engine executes parallel selected inversion for one (plan, factorization)
@@ -90,26 +138,11 @@ type Engine struct {
 	// Chaos, when non-nil, installs a seeded delivery adversary
 	// (internal/chaos) on each run's world.
 	Chaos *chaos.Config
-	// Deterministic makes the floating-point result independent of message
-	// delivery order, tree scheme AND supernode→process mapping: every
-	// reduction contribution is identified by a globally canonical slot
-	// (its block-row index within the supernode structure), non-root tree
-	// nodes forward their held slots verbatim — no partial summation — and
-	// the root folds the complete slot set in ascending order. Runs with
-	// the same inputs are then bit-exact regardless of scheduling, and two
-	// runs that differ only in balancer, scheme or grid produce identical
-	// bytes — the property the chaos sweep and the cross-balancer parity
-	// tests compare against. Costs one scratch matrix per in-flight
-	// contribution instead of one per reduction, and reduce messages carry
-	// slot payloads instead of partial sums (larger on the wire: a testing
-	// mode, not the measured configuration).
-	Deterministic bool
 	// DAG schedules each rank's TRSM/GEMM-sized compute as a task DAG on
 	// the shared dense worker pool (see dag.go), overlapping it with the
-	// tree collectives that stay on the rank goroutine. DAG mode implies
-	// deterministic reductions — concurrent tasks each write a private
-	// canonical slot — so its result is byte-identical to a sequential
-	// run with Deterministic set.
+	// tree collectives that stay on the rank goroutine. Each reduction
+	// keeps at most one contribution in flight, so the result is
+	// byte-identical to a sequential run of the same plan.
 	DAG bool
 	// Transport, when non-nil, supplies the communication substrate for
 	// each Run (the default is the in-process goroutine transport). The
@@ -126,15 +159,13 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 	progs := make([]*rankProgram, p)
 	for r := range progs {
 		progs[r] = &rankProgram{
-			trsmByK:   map[int][]int{},
-			byKI:      map[blockKey][]int{},
-			byBlock:   map[blockKey][]int{},
-			rowLocal:  map[blockKey]int{},
-			diagLocal: map[int]int{},
-			trsmUByK:  map[int][]int{},
-			byKIU:     map[blockKey][]int{},
-			byBlockU:  map[blockKey][]int{},
-			colLocal:  map[blockKey]int{},
+			trsmByK:  map[int][]int{},
+			byKI:     map[blockKey][]int{},
+			byBlock:  map[blockKey][]int{},
+			chains:   map[redKey]chain{},
+			trsmUByK: map[int][]int{},
+			byKIU:    map[blockKey][]int{},
+			byBlockU: map[blockKey][]int{},
 		}
 	}
 	grid := plan.Owners
@@ -179,30 +210,34 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 			tr := sp.RowReduces[x].Tree
 			for _, part := range tr.Participants() {
 				progs[part].expect2 += len(tr.Children(part))
+				progs[part].nreds++
 			}
 		}
 		tr := sp.DiagReduce.Tree
 		for _, part := range tr.Participants() {
 			progs[part].expect2 += len(tr.Children(part))
+			progs[part].nreds++
 		}
-		// GEMM tasks and local reduce contribution counts. A task's Slot is
-		// the canonical index of its broadcast operand's block row within C —
-		// a GLOBAL identity shared by every rank, not a per-rank counter —
-		// so the deterministic fold order is a property of the pattern alone,
+		// GEMM tasks and each rank's local reduction chains. Tasks are
+		// generated per target J with I ascending through C, so a rank's
+		// contributions to one reduction land consecutively, already in
+		// canonical slot order: a property of the pattern alone,
 		// independent of which balancer distributed the work.
-		for ci, i := range sp.C {
-			for _, j := range sp.C {
-				owner := grid.OwnerOfBlock(j, i)
-				pr := progs[owner]
+		for _, j := range sp.C {
+			key := redKey{redRow, k, j}
+			for _, i := range sp.C {
+				pr := progs[grid.OwnerOfBlock(j, i)]
 				ti := len(pr.tasks)
-				pr.tasks = append(pr.tasks, gemmDesc{K: k, I: i, J: j, Slot: ci})
+				pr.tasks = append(pr.tasks, gemmDesc{K: k, I: i, J: j})
 				pr.byKI[blockKey{k, i}] = append(pr.byKI[blockKey{k, i}], ti)
 				pr.byBlock[blockKey{j, i}] = append(pr.byBlock[blockKey{j, i}], ti)
-				pr.rowLocal[blockKey{k, j}]++
+				pr.extend(key, ti)
 			}
 		}
 		for _, j := range sp.C {
-			progs[grid.OwnerOfBlock(j, k)].diagLocal[k]++
+			pr := progs[grid.OwnerOfBlock(j, k)]
+			pr.diagJ = append(pr.diagJ, j)
+			pr.extend(redKey{redDiag, k, k}, len(pr.diagJ)-1)
 		}
 		if !plan.Symmetric {
 			// Pass 1: row broadcast of the diagonal factor and Û TRSMs.
@@ -233,17 +268,18 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 				tr := sp.ColReduces[x].Tree
 				for _, part := range tr.Participants() {
 					progs[part].expect2 += len(tr.Children(part))
+					progs[part].nreds++
 				}
 			}
-			for ci, i := range sp.C {
-				for _, j := range sp.C {
-					owner := grid.OwnerOfBlock(i, j)
-					pr := progs[owner]
+			for _, j := range sp.C {
+				key := redKey{redCol, k, j}
+				for _, i := range sp.C {
+					pr := progs[grid.OwnerOfBlock(i, j)]
 					ti := len(pr.tasksU)
-					pr.tasksU = append(pr.tasksU, gemmDesc{K: k, I: i, J: j, Slot: ci})
+					pr.tasksU = append(pr.tasksU, gemmDesc{K: k, I: i, J: j})
 					pr.byKIU[blockKey{k, i}] = append(pr.byKIU[blockKey{k, i}], ti)
 					pr.byBlockU[blockKey{i, j}] = append(pr.byBlockU[blockKey{i, j}], ti)
-					pr.colLocal[blockKey{k, j}]++
+					pr.extend(key, ti)
 				}
 			}
 		}
@@ -251,16 +287,8 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 	return &Engine{Plan: plan, LU: lu, programs: progs, heights: core.SnodeHeights(plan.BP.SnParent)}
 }
 
-// deterministic reports whether this run uses canonical-slot reductions:
-// requested explicitly, or forced by DAG mode, whose concurrent tasks
-// rely on private slots for both race-freedom and bit-exactness.
-func (e *Engine) deterministic() bool { return e.Deterministic || e.DAG || e.elem() == dense.Complex }
-
 // elem returns the element type of the bound factorization (Real for an
-// unbound plan template). Complex runs always use canonical-slot
-// reductions: the parity contract against the serial reference demands
-// delivery-order independence, and every rank derives the same answer from
-// its own LU, so the wire format stays consistent across processes.
+// unbound plan template).
 func (e *Engine) elem() dense.Elem {
 	if e.LU != nil {
 		return e.LU.Elem
@@ -274,8 +302,8 @@ func (e *Engine) elem() dense.Elem {
 // receiver; they are immutable during runs, so rebound engines may run
 // concurrently with each other and with the original. This is the warm path
 // of a plan cache: same sparsity pattern, new values. Trace, Observer,
-// Chaos, Deterministic and DAG are reset on the copy so per-run
-// instrumentation and execution modes never leak between requests.
+// Chaos and DAG are reset on the copy so per-run instrumentation and
+// execution modes never leak between requests.
 func (e *Engine) Rebind(lu *factor.LU) *Engine {
 	return &Engine{Plan: e.Plan, LU: lu, programs: e.programs, heights: e.heights}
 }
@@ -391,115 +419,18 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	return &RunResult{Ainv: gathered, World: world, Elapsed: elapsed, Dag: dag}, nil
 }
 
-// redState tracks one in-flight reduction at one rank. sum is arena-backed
-// and becomes nil at completion: ownership moves to the parent's mailbox
+// redState tracks one reduction at one rank. sum is arena-backed and
+// becomes nil at completion: ownership moves to the parent's mailbox
 // (non-root), to the finalized ainv block (row/col root), or back to the
-// arena (diag root).
-//
-// In deterministic mode sum stays nil until completion: the slot array has
-// one entry per contribution to the WHOLE reduction (|C| of them, indexed
-// by the contributor's block-row position in the supernode structure), of
-// which this rank holds its local contributions plus whatever its subtree
-// delivered. Non-root ranks forward their held slots verbatim — no
-// floating-point work — and the root, which ends up holding the complete
-// set, folds the slots in ascending index order. The fold bracketing is
-// therefore a property of the pattern alone: independent of arrival order,
-// tree shape, and the supernode→process mapping.
+// arena (diag root). Child partial sums wait in kids, indexed by the
+// child's position in Tree.Children, until the local chain is done.
 type redState struct {
-	sum          *dense.Matrix
-	slots        []*dense.Matrix // deterministic mode only, sized |C|
-	localPending int
-	childPending int
-	done         bool
-}
-
-// slotFor returns the matrix a local contribution with canonical slot si
-// accumulates into: the shared sum normally, a fresh zeroed slot matrix in
-// deterministic mode.
-func (st *rankState) slotFor(red *redState, si, rows, cols int) *dense.Matrix {
-	if !st.e.deterministic() {
-		return red.sum
-	}
-	if red.slots[si] != nil {
-		panic(fmt.Sprintf("pselinv: reduction slot %d filled twice", si))
-	}
-	m := dense.GetMatrixElem(rows, cols, st.elem)
-	red.slots[si] = m
-	return m
-}
-
-// childArrived merges a child's reduce message. Reduce payloads transfer
-// buffer ownership to the receiver and are recycled here. The default path
-// accumulates the child's partial sum; deterministic mode unpacks the
-// child's slot payload — [count, slot indices..., slot blocks...] — into
-// this rank's slot array, untouched by floating-point arithmetic.
-func (st *rankState) childArrived(red *redState, rows, cols int, data []float64) {
-	if st.e.deterministic() {
-		count := int(data[0])
-		blk := rows * cols * st.ew
-		off := 1 + count
-		for x := 0; x < count; x++ {
-			si := int(data[1+x])
-			if red.slots[si] != nil {
-				panic(fmt.Sprintf("pselinv: reduction slot %d filled twice", si))
-			}
-			m := dense.GetMatrixUninitElem(rows, cols, st.elem)
-			copy(m.Data, data[off:off+blk])
-			red.slots[si] = m
-			off += blk
-		}
-		dense.PutBuf(data)
-	} else {
-		addPayload(red.sum, data)
-		dense.PutBuf(data)
-	}
-	red.childPending--
-}
-
-// forwardSlots (deterministic mode, non-root) serializes the held slots —
-// ascending index, no summation — and sends them to the reduce-tree
-// parent: [count, slot indices..., slot blocks...].
-func (st *rankState) forwardSlots(red *redState, parent int, key uint64, class simmpi.Class, rows, cols int) {
-	count := 0
-	for _, m := range red.slots {
-		if m != nil {
-			count++
-		}
-	}
-	blk := rows * cols * st.ew
-	buf := dense.GetBuf(1 + count + count*blk)
-	buf[0] = float64(count)
-	w, off := 1, 1+count
-	for si, m := range red.slots {
-		if m == nil {
-			continue
-		}
-		buf[w] = float64(si)
-		w++
-		copy(buf[off:off+blk], m.Data)
-		off += blk
-		dense.PutBuf(m.Data)
-	}
-	red.slots = nil
-	st.r.Send(parent, key, class, buf)
-}
-
-// combineSlots (deterministic mode, root only) folds the complete slot set
-// in ascending index order into a fresh sum and recycles the slot buffers.
-// No-op otherwise.
-func (st *rankState) combineSlots(red *redState, rows, cols int) {
-	if !st.e.deterministic() {
-		return
-	}
-	red.sum = dense.GetMatrixElem(rows, cols, st.elem)
-	for si, m := range red.slots {
-		if m == nil {
-			panic(fmt.Sprintf("pselinv: reduction completed with empty slot %d", si))
-		}
-		addPayload(red.sum, m.Data)
-		dense.PutBuf(m.Data)
-	}
-	red.slots = nil
+	sum       *dense.Matrix
+	kids      [][]float64 // nil when this rank has no children in the reduce tree
+	next, end int32       // cursor over the local chain
+	waiting   int32       // children not yet arrived
+	busy      bool        // DAG mode: a local contribution is in flight
+	done      bool
 }
 
 // rankState is the mutable per-rank runtime state.
@@ -512,43 +443,32 @@ type rankState struct {
 	diagFact map[int]*dense.Matrix      // packed diagonal factors (owned or received)
 	ainv     map[blockKey]*dense.Matrix // finalized owned A⁻¹ blocks
 	bcastL   map[blockKey]*dense.Matrix // (K, I) -> L̂_{I,K} received via Col-Bcast
-	taskDone []bool
-	rowRed   map[blockKey]*redState // (K, J)
-	diagRed  map[int]*redState
+	reds     map[redKey]*redState
 
 	// Asymmetric path state:
-	uhat      map[blockKey]*dense.Matrix // owned Û blocks, keyed (K, I)
-	bcastU    map[blockKey]*dense.Matrix // (K, I) -> Û_{K,I} received via Row-Bcast
-	taskUDone []bool
-	colRed    map[blockKey]*redState // (K, J)
-	diagTDone map[blockKey]bool      // (K, J) diagonal contributions already applied
+	uhat   map[blockKey]*dense.Matrix // owned Û blocks, keyed (K, I)
+	bcastU map[blockKey]*dense.Matrix // (K, I) -> Û_{K,I} received via Row-Bcast
 
 	// sched, non-nil iff Engine.DAG, detours TRSM/GEMM-sized compute
 	// through the worker-pool task scheduler (see dag.go).
 	sched *dagSched
 
-	// elem/ew cache the factorization's element type and per-entry word
-	// count: every payload and arena request below is sized rows*cols*ew.
+	// elem caches the factorization's element type: every payload and
+	// arena request below is sized for it.
 	elem dense.Elem
-	ew   int
 }
 
 func newRankState(e *Engine, r *simmpi.Rank) *rankState {
 	st := &rankState{
 		e: e, r: r, prog: e.programs[r.ID],
-		elem: e.elem(), ew: e.elem().Width(),
-		lhat:      map[blockKey]*dense.Matrix{},
-		diagFact:  map[int]*dense.Matrix{},
-		ainv:      map[blockKey]*dense.Matrix{},
-		bcastL:    map[blockKey]*dense.Matrix{},
-		taskDone:  make([]bool, len(e.programs[r.ID].tasks)),
-		rowRed:    map[blockKey]*redState{},
-		diagRed:   map[int]*redState{},
-		uhat:      map[blockKey]*dense.Matrix{},
-		bcastU:    map[blockKey]*dense.Matrix{},
-		taskUDone: make([]bool, len(e.programs[r.ID].tasksU)),
-		colRed:    map[blockKey]*redState{},
-		diagTDone: map[blockKey]bool{},
+		elem:     e.elem(),
+		lhat:     map[blockKey]*dense.Matrix{},
+		diagFact: map[int]*dense.Matrix{},
+		ainv:     map[blockKey]*dense.Matrix{},
+		bcastL:   map[blockKey]*dense.Matrix{},
+		reds:     make(map[redKey]*redState, e.programs[r.ID].nreds),
+		uhat:     map[blockKey]*dense.Matrix{},
+		bcastU:   map[blockKey]*dense.Matrix{},
 	}
 	if e.DAG {
 		st.sched = newDagSched(st)
@@ -804,16 +724,9 @@ func (st *rankState) handle(msg simmpi.Message) {
 		end()
 		st.bcastArrived(k, i, lh)
 	case core.OpRowReduce:
-		// A child's partial sum: accumulate it, then recycle the payload —
-		// reduce sends transfer ownership of their buffer to the receiver.
-		j := blk
-		red := st.getRowRed(k, j)
-		st.childArrived(red, st.width(j), st.width(k), msg.Data)
-		st.maybeCompleteRow(k, j, red)
+		st.childArrived(redKey{redRow, k, blk}, msg)
 	case core.OpDiagReduce:
-		red := st.getDiagRed(k)
-		st.childArrived(red, st.width(k), st.width(k), msg.Data)
-		st.maybeCompleteDiag(k, red)
+		st.childArrived(redKey{redDiag, k, k}, msg)
 	case core.OpSymmSend:
 		// Finalized A⁻¹_{J,K} arrives at the owner of (K, J); mirror it.
 		// The payload is the sender's finalized block (not ours to recycle).
@@ -825,8 +738,8 @@ func (st *rankState) handle(msg simmpi.Message) {
 	case core.OpCrossSendU:
 		// I'm the owner of (I, K): the row-broadcast root. Store Û_{K,I},
 		// start the Row-Bcast, and — since I'm also the Row-Reduce root
-		// for block (I,K) — check whether the diagonal contribution for
-		// this block can now fire.
+		// for block (I,K), which owns the diagonal contribution
+		// Û_{K,I}·A⁻¹_{I,K} — let the Diag-Reduce chain advance.
 		i := blk
 		uh := matFromData(st.width(k), st.width(i), st.elem, msg.Data)
 		rb := &sp.RowBcasts[cIndex(sp.C, i)]
@@ -836,7 +749,7 @@ func (st *rankState) handle(msg simmpi.Message) {
 		}
 		end()
 		st.bcastUArrived(k, i, uh)
-		st.tryDiagContribAsym(k, i)
+		st.advance(redKey{redDiag, k, k})
 	case core.OpRowBcast:
 		i := blk
 		uh := matFromData(st.width(k), st.width(i), st.elem, msg.Data)
@@ -848,350 +761,242 @@ func (st *rankState) handle(msg simmpi.Message) {
 		end()
 		st.bcastUArrived(k, i, uh)
 	case core.OpColReduce:
-		j := blk
-		red := st.getColRed(k, j)
-		st.childArrived(red, st.width(k), st.width(j), msg.Data)
-		st.maybeCompleteCol(k, j, red)
+		st.childArrived(redKey{redCol, k, blk}, msg)
 	default:
 		panic(fmt.Sprintf("pselinv: unexpected %v message in pass 2", kind))
 	}
 }
 
-// bcastUArrived records Û_{K,I} and fires any upper GEMM whose A⁻¹ operand
-// is already final.
-func (st *rankState) bcastUArrived(k, i int, uh *dense.Matrix) {
-	st.bcastU[blockKey{k, i}] = uh
-	for _, ti := range st.prog.byKIU[blockKey{k, i}] {
-		st.tryRunU(ti)
-	}
-}
-
-// tryRunU executes upper GEMM task ti (Û_{K,I}·A⁻¹_{I,J}) when both
-// operands are available, accumulating into the Col-Reduce sum for (K,J).
-func (st *rankState) tryRunU(ti int) {
-	if st.taskUDone[ti] {
-		return
-	}
-	t := st.prog.tasksU[ti]
-	uh, ok := st.bcastU[blockKey{t.K, t.I}]
-	if !ok {
-		return
-	}
-	av, ok := st.ainv[blockKey{t.I, t.J}]
-	if !ok {
-		return
-	}
-	st.taskUDone[ti] = true
-	red := st.getColRed(t.K, t.J)
-	if st.sched != nil {
-		out := st.slotFor(red, t.Slot, st.width(t.K), st.width(t.J))
-		st.sched.submit(t.K, "gemm-u",
-			st.sched.depf("bcast-u(%d,%d) ainv(%d,%d)", t.K, t.I, t.I, t.J),
-			func() {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
-			}, func() {
-				red.localPending--
-				st.maybeCompleteCol(t.K, t.J, red)
-			})
-		return
-	}
-	end := st.e.Trace.Span(st.r.ID, "gemm-u", t.K)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1,
-		st.slotFor(red, t.Slot, st.width(t.K), st.width(t.J)))
-	end()
-	red.localPending--
-	st.maybeCompleteCol(t.K, t.J, red)
-}
-
-// newRedState builds a reduction's tracking state: the shared sum in the
-// default mode, the empty canonical slot array — one entry per global
-// contribution — in deterministic mode.
-func (st *rankState) newRedState(rows, cols, local, children, nslots int) *redState {
-	red := &redState{localPending: local, childPending: children}
-	if st.e.deterministic() {
-		red.slots = make([]*dense.Matrix, nslots)
-	} else {
-		red.sum = dense.GetMatrixElem(rows, cols, st.elem)
-	}
-	return red
-}
-
-func (st *rankState) getColRed(k, j int) *redState {
-	key := blockKey{k, j}
-	if red, ok := st.colRed[key]; ok {
-		return red
-	}
-	sp := st.e.Plan.Snodes[k]
-	tr := sp.ColReduces[cIndex(sp.C, j)].Tree
-	red := st.newRedState(st.width(k), st.width(j), st.prog.colLocal[key], len(tr.Children(st.r.ID)), len(sp.C))
-	st.colRed[key] = red
-	return red
-}
-
-// maybeCompleteCol sends a finished upper partial sum up the reduce tree,
-// or — at the root, the owner of (K,J) — finalizes A⁻¹_{K,J} = −Σ.
-func (st *rankState) maybeCompleteCol(k, j int, red *redState) {
-	if red.done || red.localPending > 0 || red.childPending > 0 {
-		return
-	}
-	red.done = true
-	sp := st.e.Plan.Snodes[k]
-	op := &sp.ColReduces[cIndex(sp.C, j)]
-	end := st.collSpan("col-reduce", k, op.Tree)
-	me := st.r.ID
-	if me != op.Tree.Root {
-		if st.e.deterministic() {
-			st.forwardSlots(red, op.Tree.Parent(me), op.Key(), simmpi.ClassColReduce,
-				st.width(k), st.width(j))
-		} else {
-			// The buffer travels up the tree; the parent recycles it.
-			st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassColReduce, red.sum.Data)
-			red.sum = nil
-		}
-		end()
-		return
-	}
-	st.combineSlots(red, st.width(k), st.width(j))
-	m := red.sum
-	red.sum = nil // ownership moves to ainv (released via RunResult.Release)
-	m.Scale(-1)
-	end()
-	st.finalize(blockKey{k, j}, m)
-}
-
-// tryDiagContribAsym fires the diagonal contribution Û_{K,J}·A⁻¹_{J,K} at
-// the owner of (J,K) once both operands exist. Two asynchronous events can
-// complete the pair — the Û cross-send arrival and the local Row-Reduce
-// finalization — so both handlers call in here.
-func (st *rankState) tryDiagContribAsym(k, j int) {
-	key := blockKey{k, j}
-	if st.diagTDone[key] {
-		return
-	}
-	uh, ok := st.bcastU[key]
-	if !ok {
-		return
-	}
-	av, ok := st.ainv[blockKey{j, k}]
-	if !ok {
-		return
-	}
-	st.diagTDone[key] = true
-	sp := st.e.Plan.Snodes[k]
-	slot := cIndex(sp.C, j)
-	red := st.getDiagRed(k)
-	if st.sched != nil {
-		out := st.slotFor(red, slot, st.width(k), st.width(k))
-		st.sched.submit(k, "gemm",
-			st.sched.depf("bcast-u(%d,%d) ainv(%d,%d)", k, j, j, k),
-			func() {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
-			}, func() {
-				red.localPending--
-				st.maybeCompleteDiag(k, red)
-			})
-		return
-	}
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1,
-		st.slotFor(red, slot, st.width(k), st.width(k)))
-	red.localPending--
-	st.maybeCompleteDiag(k, red)
-}
-
-// bcastArrived records L̂_{I,K} and fires any GEMM whose A⁻¹ operand is
-// already final.
+// bcastArrived records L̂_{I,K} and advances every Row-Reduce with a local
+// contribution waiting on it.
 func (st *rankState) bcastArrived(k, i int, lh *dense.Matrix) {
 	st.bcastL[blockKey{k, i}] = lh
 	for _, ti := range st.prog.byKI[blockKey{k, i}] {
-		st.tryRun(ti)
+		st.advance(redKey{redRow, k, st.prog.tasks[ti].J})
 	}
 }
 
-// finalize records an owned A⁻¹ block and fires any GEMM waiting on it.
+// bcastUArrived records Û_{K,I} and advances every Col-Reduce with a local
+// contribution waiting on it.
+func (st *rankState) bcastUArrived(k, i int, uh *dense.Matrix) {
+	st.bcastU[blockKey{k, i}] = uh
+	for _, ti := range st.prog.byKIU[blockKey{k, i}] {
+		st.advance(redKey{redCol, k, st.prog.tasksU[ti].J})
+	}
+}
+
+// finalize records an owned A⁻¹ block and advances every reduction with a
+// local contribution waiting on it.
 func (st *rankState) finalize(key blockKey, m *dense.Matrix) {
 	if _, dup := st.ainv[key]; dup {
 		panic(fmt.Sprintf("pselinv: block (%d,%d) finalized twice", key.I, key.J))
 	}
 	st.ainv[key] = m
 	for _, ti := range st.prog.byBlock[key] {
-		st.tryRun(ti)
+		t := st.prog.tasks[ti]
+		st.advance(redKey{redRow, t.K, t.J})
 	}
 	for _, ti := range st.prog.byBlockU[key] {
-		st.tryRunU(ti)
+		t := st.prog.tasksU[ti]
+		st.advance(redKey{redCol, t.K, t.J})
 	}
 }
 
-// tryRun executes GEMM task ti when both operands are available.
-func (st *rankState) tryRun(ti int) {
-	if st.taskDone[ti] {
-		return
+// reduceOp returns the plan collective of a reduction.
+func (st *rankState) reduceOp(key redKey) *core.CollOp {
+	sp := st.e.Plan.Snodes[key.K]
+	switch key.kind {
+	case redRow:
+		return &sp.RowReduces[cIndex(sp.C, key.J)]
+	case redCol:
+		return &sp.ColReduces[cIndex(sp.C, key.J)]
 	}
-	t := st.prog.tasks[ti]
-	lh, ok := st.bcastL[blockKey{t.K, t.I}]
-	if !ok {
-		return
-	}
-	av, ok := st.ainv[blockKey{t.J, t.I}]
-	if !ok {
-		return
-	}
-	st.taskDone[ti] = true
-	red := st.getRowRed(t.K, t.J)
-	if st.sched != nil {
-		out := st.slotFor(red, t.Slot, st.width(t.J), st.width(t.K))
-		st.sched.submit(t.K, "gemm",
-			st.sched.depf("bcast(%d,%d) ainv(%d,%d)", t.K, t.I, t.J, t.I),
-			func() {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1, out)
-			}, func() {
-				red.localPending--
-				st.maybeCompleteRow(t.K, t.J, red)
-			})
-		return
-	}
-	end := st.e.Trace.Span(st.r.ID, "gemm", t.K)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1,
-		st.slotFor(red, t.Slot, st.width(t.J), st.width(t.K)))
-	end()
-	red.localPending--
-	st.maybeCompleteRow(t.K, t.J, red)
+	return sp.DiagReduce
 }
 
-func (st *rankState) getRowRed(k, j int) *redState {
-	key := blockKey{k, j}
-	if red, ok := st.rowRed[key]; ok {
+// red returns this rank's state for a reduction, creating it on first
+// touch: the cursor over the local chain and one stash entry per
+// reduce-tree child.
+func (st *rankState) red(key redKey) *redState {
+	if red, ok := st.reds[key]; ok {
 		return red
 	}
-	sp := st.e.Plan.Snodes[k]
-	tr := sp.RowReduces[cIndex(sp.C, j)].Tree
-	red := st.newRedState(st.width(j), st.width(k), st.prog.rowLocal[key], len(tr.Children(st.r.ID)), len(sp.C))
-	st.rowRed[key] = red
+	c := st.prog.chains[key]
+	nk := len(st.reduceOp(key).Tree.Children(st.r.ID))
+	red := &redState{next: c.lo, end: c.hi, waiting: int32(nk)}
+	if nk > 0 {
+		red.kids = make([][]float64, nk)
+	}
+	st.reds[key] = red
 	return red
 }
 
-func (st *rankState) getDiagRed(k int) *redState {
-	if red, ok := st.diagRed[k]; ok {
-		return red
+// shape returns the dimensions of a reduction's target block.
+func (st *rankState) shape(key redKey) (rows, cols int) {
+	if key.kind == redRow {
+		return st.width(key.J), st.width(key.K) // A⁻¹_{J,K}
 	}
-	sp := st.e.Plan.Snodes[k]
-	tr := sp.DiagReduce.Tree
-	red := st.newRedState(st.width(k), st.width(k), st.prog.diagLocal[k], len(tr.Children(st.r.ID)), len(sp.C))
-	st.diagRed[k] = red
-	return red
+	return st.width(key.K), st.width(key.J) // A⁻¹_{K,J}; Diag-Reduce: square
 }
 
-// maybeCompleteRow sends a finished partial sum up the reduce tree, or — at
-// the root — finalizes A⁻¹_{J,K} and triggers the mirror send and the
-// diagonal contribution.
-func (st *rankState) maybeCompleteRow(k, j int, red *redState) {
-	if red.done || red.localPending > 0 || red.childPending > 0 {
+// sum returns a reduction's accumulator, allocating the zeroed block when
+// the first contribution runs rather than when the reduction is first
+// touched, so sums of reductions still waiting for operands hold no
+// memory.
+func (st *rankState) sum(key redKey, red *redState) *dense.Matrix {
+	if red.sum == nil {
+		rows, cols := st.shape(key)
+		red.sum = dense.GetMatrixElem(rows, cols, st.elem)
+	}
+	return red.sum
+}
+
+// childArrived stashes a child's partial sum until its turn in the fold.
+// Reduce payloads transfer buffer ownership to the receiver, which
+// recycles them after folding.
+func (st *rankState) childArrived(key redKey, msg simmpi.Message) {
+	red := st.red(key)
+	if rows, cols := st.shape(key); len(msg.Data) != rows*cols*st.elem.Width() {
+		panic(fmt.Sprintf("pselinv: reduce payload %d does not match %dx%d %s block",
+			len(msg.Data), rows, cols, st.elem))
+	}
+	x := 0
+	for _, c := range st.reduceOp(key).Tree.Children(st.r.ID) {
+		if c == msg.Src {
+			break
+		}
+		x++
+	}
+	if x == len(red.kids) || red.kids[x] != nil {
+		panic(fmt.Sprintf("pselinv: unexpected reduce message from rank %d", msg.Src))
+	}
+	red.kids[x] = msg.Data
+	red.waiting--
+	st.advance(key)
+}
+
+// operands returns the GEMM operands of local contribution x of a
+// reduction — op(a)·b accumulates into the sum — and whether both have
+// arrived.
+func (st *rankState) operands(key redKey, x int32) (ta dense.Trans, a, b *dense.Matrix, ok bool) {
+	var okA, okB bool
+	switch key.kind {
+	case redRow:
+		t := st.prog.tasks[x]
+		a, okA = st.ainv[blockKey{t.J, t.I}]
+		b, okB = st.bcastL[blockKey{t.K, t.I}]
+	case redCol:
+		t := st.prog.tasksU[x]
+		a, okA = st.bcastU[blockKey{t.K, t.I}]
+		b, okB = st.ainv[blockKey{t.I, t.J}]
+	default:
+		j := st.prog.diagJ[x]
+		b, okB = st.ainv[blockKey{j, key.K}]
+		if st.e.Plan.Symmetric {
+			// L̂_{J,K}ᵀ·A⁻¹_{J,K} = Û_{K,J}·A⁻¹_{J,K}.
+			a, okA = st.lhat[blockKey{j, key.K}]
+			return dense.DoTrans, a, b, okA && okB
+		}
+		a, okA = st.bcastU[blockKey{key.K, j}]
+	}
+	return dense.NoTrans, a, b, okA && okB
+}
+
+// advance runs a reduction's local contributions in chain order for as
+// long as their operands are present, each GEMM accumulating straight
+// into the one sum; a contribution whose operands arrived early waits for
+// its turn. DAG mode keeps at most one contribution in flight, so the sum
+// sees the same GEMM sequence as a sequential run. Once the chain is done
+// and every child has arrived, the reduction completes.
+func (st *rankState) advance(key redKey) {
+	red := st.red(key)
+	for !red.busy && red.next < red.end {
+		ta, a, b, ok := st.operands(key, red.next)
+		if !ok {
+			return
+		}
+		red.next++
+		sum := st.sum(key, red)
+		if st.sched != nil {
+			red.busy = true
+			st.sched.submit(key.K, gemmKind[key.kind],
+				st.sched.depf("%s(%d,%d) contribution %d", redSpanKind[key.kind], key.K, key.J, red.next-1),
+				func() {
+					dense.Gemm(ta, dense.NoTrans, 1, a, b, 1, sum)
+				}, func() {
+					red.busy = false
+					st.advance(key)
+				})
+			return
+		}
+		end := st.e.Trace.Span(st.r.ID, gemmKind[key.kind], key.K)
+		dense.Gemm(ta, dense.NoTrans, 1, a, b, 1, sum)
+		end()
+	}
+	if red.busy || red.waiting > 0 || red.done {
 		return
 	}
 	red.done = true
-	sp := st.e.Plan.Snodes[k]
-	op := &sp.RowReduces[cIndex(sp.C, j)]
-	end := st.collSpan("row-reduce", k, op.Tree)
+	st.complete(key, red)
+}
+
+// complete folds the children's partial sums into the local one in
+// Tree.Children order, then sends the result up the reduce tree or — at
+// the root — finalizes the target block.
+func (st *rankState) complete(key redKey, red *redState) {
+	op := st.reduceOp(key)
+	end := st.collSpan(redSpanKind[key.kind], key.K, op.Tree)
+	sum := st.sum(key, red)
+	red.sum = nil
+	for _, kid := range red.kids {
+		addPayload(sum, kid)
+		dense.PutBuf(kid)
+	}
+	red.kids = nil
 	me := st.r.ID
 	if me != op.Tree.Root {
-		if st.e.deterministic() {
-			st.forwardSlots(red, op.Tree.Parent(me), op.Key(), simmpi.ClassRowReduce,
-				st.width(j), st.width(k))
-		} else {
-			// The buffer travels up the tree; the parent recycles it.
-			st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassRowReduce, red.sum.Data)
-			red.sum = nil
-		}
+		// The buffer travels up the tree; the parent recycles it.
+		st.r.Send(op.Tree.Parent(me), op.Key(), redClass[key.kind], sum.Data)
 		end()
 		return
 	}
-	// Root: A⁻¹_{J,K} = −(accumulated sum).
-	st.combineSlots(red, st.width(j), st.width(k))
-	m := red.sum
-	red.sum = nil // ownership moves to ainv (released via RunResult.Release)
-	m.Scale(-1)
 	end()
-	st.finalize(blockKey{j, k}, m)
-	if !st.e.Plan.Symmetric {
-		// General path: the upper triangle is computed by its own
-		// reductions; the diagonal contribution needs the broadcast Û,
-		// which may not have arrived yet.
-		st.tryDiagContribAsym(k, j)
-		return
-	}
-	// Symmetric path: mirror to the upper triangle.
-	dst := st.e.Plan.Owners.OwnerOfBlock(k, j)
-	st.r.Send(dst, core.OpKey(core.OpSymmSend, k, j), simmpi.ClassSymmSend, m.Data)
-	// Local contribution to the diagonal update:
-	// L̂_{J,K}ᵀ · A⁻¹_{J,K} = Û_{K,J} · A⁻¹_{J,K}, accumulated into the
-	// Diag-Reduce sum.
-	lhjk, ok := st.lhat[blockKey{j, k}]
-	if !ok {
-		panic(fmt.Sprintf("pselinv: row-reduce root %d lacks L̂(%d,%d)", me, j, k))
-	}
-	slot := cIndex(sp.C, j)
-	dred := st.getDiagRed(k)
-	if st.sched != nil {
-		out := st.slotFor(dred, slot, st.width(k), st.width(k))
-		st.sched.submit(k, "gemm",
-			st.sched.depf("lhat(%d,%d) rowred(%d,%d)", j, k, k, j),
-			func() {
-				dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1, out)
-			}, func() {
-				dred.localPending--
-				st.maybeCompleteDiag(k, dred)
-			})
-		return
-	}
-	dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1,
-		st.slotFor(dred, slot, st.width(k), st.width(k)))
-	dred.localPending--
-	st.maybeCompleteDiag(k, dred)
-}
-
-// maybeCompleteDiag sends a finished diagonal partial sum up the tree, or —
-// at the root — finalizes A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
-func (st *rankState) maybeCompleteDiag(k int, red *redState) {
-	if red.done || red.localPending > 0 || red.childPending > 0 {
-		return
-	}
-	red.done = true
-	op := st.e.Plan.Snodes[k].DiagReduce
-	endColl := st.collSpan("diag-reduce", k, op.Tree)
-	me := st.r.ID
-	if me != op.Tree.Root {
-		if st.e.deterministic() {
-			st.forwardSlots(red, op.Tree.Parent(me), op.Key(), simmpi.ClassDiagReduce,
-				st.width(k), st.width(k))
-		} else {
-			// The buffer travels up the tree; the parent recycles it.
-			st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassDiagReduce, red.sum.Data)
-			red.sum = nil
+	k, j := key.K, key.J
+	switch key.kind {
+	case redRow:
+		// A⁻¹_{J,K} = −Σ; ownership moves to ainv (released via
+		// RunResult.Release).
+		sum.Scale(-1)
+		st.finalize(blockKey{j, k}, sum)
+		if st.e.Plan.Symmetric {
+			// Mirror to the upper triangle.
+			dst := st.e.Plan.Owners.OwnerOfBlock(k, j)
+			st.r.Send(dst, core.OpKey(core.OpSymmSend, k, j), simmpi.ClassSymmSend, sum.Data)
 		}
-		endColl()
-		return
-	}
-	st.combineSlots(red, st.width(k), st.width(k))
-	endColl()
-	if st.sched != nil {
-		sum := red.sum
-		red.sum = nil
+		// This root owns the diagonal contribution of block J.
+		st.advance(redKey{redDiag, k, k})
+	case redCol:
+		sum.Scale(-1)
+		st.finalize(blockKey{k, j}, sum)
+	case redDiag:
+		// A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
 		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
-		st.sched.submit(k, "diag-inverse", st.sched.depf("diag-reduce(%d)", k),
-			func() {
-				st.e.LU.DiagInverseTo(k, diag)
-				diag.AddScaled(-1, sum)
-			}, func() {
-				dense.PutMatrix(sum)
-				st.finalize(blockKey{k, k}, diag)
-			})
-		return
+		if st.sched != nil {
+			st.sched.submit(k, "diag-inverse", st.sched.depf("diag-reduce(%d)", k),
+				func() {
+					st.e.LU.DiagInverseTo(k, diag)
+					diag.AddScaled(-1, sum)
+				}, func() {
+					dense.PutMatrix(sum)
+					st.finalize(blockKey{k, k}, diag)
+				})
+			return
+		}
+		endInv := st.e.Trace.Span(st.r.ID, "diag-inverse", k)
+		st.e.LU.DiagInverseTo(k, diag)
+		diag.AddScaled(-1, sum)
+		endInv()
+		dense.PutMatrix(sum)
+		st.finalize(blockKey{k, k}, diag)
 	}
-	end := st.e.Trace.Span(st.r.ID, "diag-inverse", k)
-	diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
-	st.e.LU.DiagInverseTo(k, diag)
-	diag.AddScaled(-1, red.sum)
-	end()
-	dense.PutMatrix(red.sum)
-	red.sum = nil
-	st.finalize(blockKey{k, k}, diag)
 }

@@ -76,9 +76,9 @@ func postBatch(t *testing.T, url string, req *BatchRequest) (status int, hdr *Ba
 }
 
 // TestServeComplexPole pins the single-pole complex path of /v1/selinv
-// against the library's serial complex reference: the parallel complex
-// engine is bit-identical to it by construction, and JSON float encoding
-// round-trips float64 exactly, so the comparison is on bits.
+// against the library's serial complex reference. The 4-rank engine folds
+// partial sums inside its reduce trees, so the stated contract is 1e-12
+// relative to the largest diagonal entry, not bit identity.
 func TestServeComplexPole(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	req := &Request{
@@ -115,9 +115,12 @@ func TestServeComplexPole(t *testing.T) {
 	if len(resp.DiagonalRe) != len(want) || len(resp.DiagonalIm) != len(want) {
 		t.Fatalf("diagonal lengths %d/%d, want %d", len(resp.DiagonalRe), len(resp.DiagonalIm), len(want))
 	}
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Max(math.Abs(real(v)), math.Abs(imag(v))))
+	}
 	for i, v := range want {
-		if math.Float64bits(resp.DiagonalRe[i]) != math.Float64bits(real(v)) ||
-			math.Float64bits(resp.DiagonalIm[i]) != math.Float64bits(imag(v)) {
+		if math.Abs(resp.DiagonalRe[i]-real(v)) > 1e-12*scale || math.Abs(resp.DiagonalIm[i]-imag(v)) > 1e-12*scale {
 			t.Fatalf("diagonal[%d] = (%g, %g), want %v", i, resp.DiagonalRe[i], resp.DiagonalIm[i], v)
 		}
 	}
@@ -271,13 +274,13 @@ func TestServeBatchMatsubara(t *testing.T) {
 func TestServeBatchValidation(t *testing.T) {
 	_, ts := testServer(t, Config{MaxBatchPoles: 2})
 	cases := []BatchRequest{
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}},                                   // no poles at all
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, NumPoles: 2},                      // matsubara without beta
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZRe: 1}}},      // pole on the real axis
+		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}},                                                    // no poles at all
+		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, NumPoles: 2},                                       // matsubara without beta
+		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZRe: 1}}},                       // pole on the real axis
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZIm: 1}}, NumPoles: 2, Beta: 2}, // both forms
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5},
 			Poles: []PoleSpec{{ZIm: 1}, {ZIm: 2}, {ZIm: 3}}}, // exceeds MaxBatchPoles
-		{Matrix: MatrixSpec{Kind: "nope"}, Poles: []PoleSpec{{ZIm: 1}}},               // bad matrix
+		{Matrix: MatrixSpec{Kind: "nope"}, Poles: []PoleSpec{{ZIm: 1}}},                                      // bad matrix
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZIm: 1}}, Scheme: "fibonacci"}, // bad scheme
 	}
 	for i, req := range cases {

@@ -213,9 +213,10 @@ type Request struct {
 	// PEXSI problem) and the selected inverse is complex — the diagonal
 	// comes back as diagonal_re/diagonal_im and the response carries
 	// log det(A − zI). Complex runs always use the general communication
-	// path with canonical deterministic reductions, so the result is
-	// bit-identical to the serial complex reference at any procs, scheme
-	// and balancer. A pole on the real axis (z_re set, z_im zero) is
+	// path. The result is bit-exact for a fixed plan (procs, scheme, seed,
+	// balancer) under any message delivery order, and across plans it
+	// agrees with the serial complex reference to within 1e-12 relative to
+	// the largest entry. A pole on the real axis (z_re set, z_im zero) is
 	// rejected: the shifted system could be singular there — use "shift"
 	// for real diagonal shifts.
 	ZRe float64 `json:"z_re,omitempty"`
@@ -263,7 +264,7 @@ type Request struct {
 	// supernode updates are scheduled onto the shared dense kernel worker
 	// pool (sized by the -kernel-workers flag, reported in
 	// pselinvd_build_info) and overlapped with the tree collectives. The
-	// result is byte-identical to a sequential deterministic run; the
+	// result is byte-identical to a sequential run of the same plan; the
 	// response reports the scheduler's mean occupancy.
 	Dag bool `json:"dag,omitempty"`
 }
@@ -292,8 +293,8 @@ type Response struct {
 	LogDetIm   float64   `json:"logdet_im,omitempty"`
 	DiagonalRe []float64 `json:"diagonal_re,omitempty"`
 	DiagonalIm []float64 `json:"diagonal_im,omitempty"`
-	TracePath string             `json:"trace,omitempty"`
-	ObsPath   string             `json:"obs,omitempty"`
+	TracePath  string    `json:"trace,omitempty"`
+	ObsPath    string    `json:"obs,omitempty"`
 	// VolImbalance is max/mean per-rank sent bytes (observed runs only).
 	VolImbalance float64 `json:"vol_imbalance,omitempty"`
 	// DagTasks and DagOccupancy summarize the task-DAG scheduler of a

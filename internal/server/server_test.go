@@ -477,11 +477,11 @@ func TestServeDagRequest(t *testing.T) {
 	if dag.DagOccupancy < 0 {
 		t.Fatalf("negative occupancy %g", dag.DagOccupancy)
 	}
-	// The sequential baseline reduces in arrival order, so it agrees at
-	// summation-order tolerance; DAG reruns must agree with each other bit
-	// for bit (canonical-slot reductions under any pool schedule).
+	// Same plan, so the DAG run and its rerun must both match the
+	// sequential run bit for bit (reductions fold in plan order under any
+	// pool schedule).
 	for i := range seq.Diagonal {
-		if math.Abs(dag.Diagonal[i]-seq.Diagonal[i]) > 1e-9 {
+		if math.Float64bits(dag.Diagonal[i]) != math.Float64bits(seq.Diagonal[i]) {
 			t.Fatalf("diagonal[%d]: dag %g vs sequential %g", i, dag.Diagonal[i], seq.Diagonal[i])
 		}
 	}

@@ -9,19 +9,26 @@
 // The implementation is the serial REFERENCE for the distributed complex
 // engine: it shares the numeric factorization (factor.FactorizeShifted)
 // and the element-generic dense kernels with internal/pselinv, and its
-// second pass reproduces the engine's canonical-slot reduction bracketing
-// exactly — each contribution is computed into its own zeroed slot with a
-// beta=1 GEMM, the slots are folded in ascending structure order, and the
-// fold is negated (off-diagonal) or subtracted from the diagonal inverse —
-// so a deterministic parallel run is bit-identical to this reference for
-// every scheme, balancer and transport.
+// second pass uses the engine's bracketing on one rank — every
+// contribution accumulates into one zeroed sum with a beta=1 GEMM, in
+// ascending structure order, and the sum is negated (off-diagonal) or
+// subtracted from the diagonal inverse. A one-rank parallel run is
+// therefore bit-identical to this reference; a multi-rank run also folds
+// partial sums inside the reduce trees and agrees to within RelTol.
 package zselinv
 
 import (
+	"math"
+
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
 )
+
+// RelTol is the stated agreement between a parallel complex run on any
+// plan and this reference: the largest entrywise difference, relative to
+// the largest entry of the reference (Result.Scale).
+const RelTol = 1e-12
 
 type blockKey struct{ I, J int }
 
@@ -55,6 +62,16 @@ func (r *Result) Entry(i, j int) (complex128, bool) {
 // LogDet returns log det(A − zI) accumulated from the diagonal pivots
 // (principal branch per pivot).
 func (r *Result) LogDet() complex128 { return r.lu.LogDet() }
+
+// Scale returns the largest magnitude among the real and imaginary parts
+// of every block: the denominator of RelTol comparisons.
+func (r *Result) Scale() float64 {
+	s := 0.0
+	for _, m := range r.Ainv {
+		s = math.Max(s, m.MaxAbs())
+	}
+	return s
+}
 
 // Release returns every block of the selected inverse to the dense arena.
 // The result must not be used afterwards. Callers that extract what they
@@ -111,9 +128,9 @@ func SelInvFromLU(lu *factor.LU, z complex128) *Result {
 		}
 	}
 
-	// Pass 2, in the engine's canonical bracketing: every contribution
-	// lands in a zeroed slot via a beta=1 GEMM; the root fold adds the
-	// slots in ascending structure order into a zeroed sum.
+	// Pass 2, in the engine's one-rank bracketing: every contribution
+	// accumulates into a zeroed sum via a beta=1 GEMM, in ascending
+	// structure order.
 	res := &Result{BP: bp, Z: z, Ainv: map[blockKey]*dense.Matrix{}, lu: lu}
 	ainv := res.Ainv
 	for k := ns - 1; k >= 0; k-- {
@@ -129,10 +146,7 @@ func SelInvFromLU(lu *factor.LU, z complex128) *Result {
 		for _, j := range c {
 			sum := dense.GetMatrixElem(part.Width(j), wk, dense.Complex)
 			for _, i := range c {
-				slot := dense.GetMatrixElem(part.Width(j), wk, dense.Complex)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, ainv[blockKey{j, i}], lhat[blockKey{i, k}], 1, slot)
-				sum.AddScaled(1, slot)
-				dense.PutMatrix(slot)
+				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, ainv[blockKey{j, i}], lhat[blockKey{i, k}], 1, sum)
 			}
 			sum.Scale(-1)
 			ainv[blockKey{j, k}] = sum
@@ -141,10 +155,7 @@ func SelInvFromLU(lu *factor.LU, z complex128) *Result {
 		for _, j := range c {
 			sum := dense.GetMatrixElem(wk, part.Width(j), dense.Complex)
 			for _, i := range c {
-				slot := dense.GetMatrixElem(wk, part.Width(j), dense.Complex)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uhat[blockKey{k, i}], ainv[blockKey{i, j}], 1, slot)
-				sum.AddScaled(1, slot)
-				dense.PutMatrix(slot)
+				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uhat[blockKey{k, i}], ainv[blockKey{i, j}], 1, sum)
 			}
 			sum.Scale(-1)
 			ainv[blockKey{k, j}] = sum
@@ -152,10 +163,7 @@ func SelInvFromLU(lu *factor.LU, z complex128) *Result {
 		// Diagonal: A⁻¹_{K,K} = (A_KK)⁻¹ − Σ_{j∈C} Û_{K,J}·A⁻¹_{J,K}.
 		dsum := dense.GetMatrixElem(wk, wk, dense.Complex)
 		for _, j := range c {
-			slot := dense.GetMatrixElem(wk, wk, dense.Complex)
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uhat[blockKey{k, j}], ainv[blockKey{j, k}], 1, slot)
-			dsum.AddScaled(1, slot)
-			dense.PutMatrix(slot)
+			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uhat[blockKey{k, j}], ainv[blockKey{j, k}], 1, dsum)
 		}
 		d := dense.GetMatrixElem(wk, wk, dense.Complex)
 		lu.DiagInverseTo(k, d)

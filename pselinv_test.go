@@ -112,8 +112,8 @@ func TestParallelMatchesSequentialPublicAPI(t *testing.T) {
 
 // TestChaosSeedOptionPublicAPI checks the chaos wiring end to end through
 // the public API: a run under the seeded adversary must still match the
-// sequential reference (deterministic-reduction mode is forced, so the
-// numerics are schedule-independent).
+// sequential reference (reductions fold in plan order, so the numerics
+// are schedule-independent).
 func TestChaosSeedOptionPublicAPI(t *testing.T) {
 	m := Grid2D(7, 6, 4)
 	sys, err := NewSystem(m, Options{ChaosSeed: 77})
