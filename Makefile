@@ -96,10 +96,11 @@ pexsi-batch:
 	$(GO) run ./cmd/pexsi -mode complex -batch -nx 10 -ny 10 -poles 16 \
 		-procs 4 -balancer work
 
-# The kernel throughput sweep recorded in BENCH_gemm.json (BenchmarkZGemm's
-# numbers land in BENCH_pexsi.json).
+# The kernel throughput sweep recorded in BENCH_gemm.json, including the
+# engine's block shapes (engine_shapes); BenchmarkZGemm's numbers land in
+# BENCH_pexsi.json.
 bench-gemm:
-	$(GO) test -run XXX -bench 'BenchmarkGemm$$|BenchmarkGemmNaive|BenchmarkTrsmBlocked|BenchmarkZGemm' \
+	$(GO) test -run XXX -bench 'BenchmarkGemm$$|BenchmarkGemmEngineShapes|BenchmarkGemmNaive|BenchmarkTrsmBlocked|BenchmarkZGemm' \
 		-benchtime 300ms ./internal/dense/
 
 bench:
@@ -107,7 +108,7 @@ bench:
 
 # ---- Bench-regression gate -------------------------------------------------
 # The CI gate re-runs a small, representative benchmark set (two real GEMM
-# shapes, the 4M complex GEMM at 512, the 16-rank end-to-end inversion,
+# shapes, the complex GEMM at 512, the 16-rank end-to-end inversion,
 # the 4-rank sequential/DAG end-to-end pair, and the 16-pole PEXSI batch)
 # and compares it against the committed baseline with cmd/benchgate
 # (medians + Mann-Whitney U test). A significant slowdown beyond

@@ -2,6 +2,7 @@ package dense
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -65,6 +66,100 @@ func TestGemmParityBlockedVsNaive(t *testing.T) {
 	}
 }
 
+// randView returns an r×c view into a larger random backing store: the
+// leading dimension exceeds the rows and the window starts at an offset,
+// as TRSM's sub-block views do. tr selects transposed storage.
+func randView(rng *rand.Rand, r, c int, tr Trans) view {
+	i0, j0 := rng.Intn(3), rng.Intn(3)
+	sr, sc := r+i0, c+j0
+	if tr == DoTrans {
+		sr, sc = sc, sr
+	}
+	back := randMat(rng, sr+rng.Intn(4), sc)
+	return fullView(back, tr).rows(i0, i0+r).cols(j0, j0+c)
+}
+
+// TestGemmInPlaceMatchesBlocked pins the pack-free path bitwise to the
+// packed blocked loop with one k panel, over random shapes, sub-views with
+// ld > rows, both B orientations and the alphas the engine issues.
+func TestGemmInPlaceMatchesBlocked(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for it := 0; it < 200; it++ {
+		m, n, k := 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(blockKC)
+		alpha := []float64{1, -1, 0.5}[it%3]
+		tb := Trans(rng.Intn(2) == 1)
+		av, bv := randView(rng, m, k, NoTrans), randView(rng, k, n, tb)
+		cv := randView(rng, m, n, NoTrans)
+		want := append([]float64(nil), cv.data...)
+		wv := cv
+		wv.data = want
+		gemmBlocked(alpha, av, bv, wv)
+		gemmInPlace(alpha, av, bv, cv)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(cv.data[i]) {
+				t.Fatalf("m=%d n=%d k=%d tb=%v alpha=%g: word %d in place %v, blocked %v",
+					m, n, k, tb, alpha, i, cv.data[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMicroKernelGoMatchesAsm checks the portable kernel bitwise against
+// the assembly kernel for packed and in-place strides.
+func TestMicroKernelGoMatchesAsm(t *testing.T) {
+	if !hasAsmKernel {
+		t.Skip("no assembly kernel on this machine")
+	}
+	rng := rand.New(rand.NewSource(16))
+	for it := 0; it < 200; it++ {
+		kc := 1 + rng.Intn(blockKC)
+		astep, bcol, bstep := mr+rng.Intn(20), 1+rng.Intn(300), 1+rng.Intn(3)
+		if it%2 == 0 {
+			astep, bcol, bstep = mr, 1, nr
+		}
+		ldc := mr + rng.Intn(5)
+		a := randMat(rng, (kc-1)*astep+mr, 1).Data
+		b := randMat(rng, (nr-1)*bcol+(kc-1)*bstep+1, 1).Data
+		c := randMat(rng, (nr-1)*ldc+mr, 1).Data
+		alpha := []float64{1, -1, 0.5}[it%3]
+		want := append([]float64(nil), c...)
+		microKernelGo(kc, alpha, a, astep, b, bcol, bstep, want, ldc)
+		microKernel(kc, alpha, a, astep, b, bcol, bstep, c, ldc)
+		for i := range c {
+			if math.Float64bits(want[i]) != math.Float64bits(c[i]) {
+				t.Fatalf("kc=%d strides (%d,%d,%d): word %d asm %v, Go %v", kc, astep, bcol, bstep, i, c[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGemmSmallNoAllocs pins the warm engine-sized GEMM, real and complex,
+// to zero heap allocations: edge buffers and the complex temporary come
+// from the arena.
+func TestGemmSmallNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, elem := range []Elem{Real, Complex} {
+		// Shapes m×n×k: in place, then with a copied short A and B.
+		for _, sh := range [][3]int{{45, 7, 30}, {6, 3, 60}, {3, 3, 30}} {
+			m, n, k := sh[0], sh[1], sh[2]
+			a, b := NewMatrixElem(m, k, elem), NewMatrixElem(k, n, elem)
+			for _, x := range []*Matrix{a, b} {
+				for i := range x.Data {
+					x.Data[i] = rng.NormFloat64()
+				}
+			}
+			c := NewMatrixElem(m, n, elem)
+			Gemm(NoTrans, NoTrans, -1, a, b, 1, c)
+			if allocs := testing.AllocsPerRun(100, func() { Gemm(NoTrans, NoTrans, -1, a, b, 1, c) }); allocs != 0 {
+				t.Errorf("%s %dx%dx%d Gemm allocates %.1f/op, want 0", elem, m, n, k, allocs)
+			}
+		}
+	}
+}
+
 func TestGemmEmptyDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, sh := range [][3]int{{0, 5, 3}, {5, 0, 3}, {5, 3, 0}, {0, 0, 0}} {
@@ -82,10 +177,15 @@ func TestGemmEmptyDims(t *testing.T) {
 
 // TestTrsmParityBlockedVsNaive forces the blocked triangular solve (order
 // above trsmBlockN) in all side/uplo/trans/diag combinations and compares
-// against the retained scalar reference.
+// against the retained scalar reference; an engine-sized triangle, solved
+// in the reference's loop order, must match it bitwise.
 func TestTrsmParityBlockedVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{trsmBlockN + 5, 2*trsmNB + 17} {
+	for _, n := range []int{48, trsmBlockN + 5, 2*trsmNB + 17} {
+		tol := tolFor(n)
+		if n <= trsmBlockN {
+			tol = 0
+		}
 		// Off-diagonals scaled by 1/n keep the solve well conditioned for
 		// both diagonal conventions (a random unit triangle would be
 		// exponentially ill-conditioned and any two summation orders would
@@ -121,7 +221,7 @@ func TestTrsmParityBlockedVsNaive(t *testing.T) {
 							if scale < 1 {
 								scale = 1
 							}
-							if d := got.MaxAbsDiff(want) / scale; d > tolFor(n) {
+							if d := got.MaxAbsDiff(want) / scale; d > tol {
 								t.Errorf("n=%d rhs=%d side=%v uplo=%v tt=%v diag=%v: max diff %g",
 									n, rhs, side, uplo, tt, diag, d)
 							}
@@ -288,6 +388,36 @@ func BenchmarkGemm(b *testing.B) {
 			gf := float64(GemmFlops(m, n, k)) * float64(b.N) / b.Elapsed().Seconds() / 1e9
 			b.ReportMetric(gf, "GFLOP/s")
 		})
+	}
+}
+
+// BenchmarkGemmEngineShapes measures the public GEMM at the block shapes
+// the selected-inversion engine issues most (supernodes are at most
+// MaxWidth=48 wide), real and complex; shapes are m×n×k and a complex
+// multiply-add counts as 8 real flops.
+func BenchmarkGemmEngineShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	shapes := [][3]int{{48, 6, 48}, {48, 48, 48}, {48, 30, 48}, {48, 6, 6}, {6, 6, 48}, {48, 12, 48}}
+	for _, elem := range []Elem{Real, Complex} {
+		for _, sh := range shapes {
+			m, n, k := sh[0], sh[1], sh[2]
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", elem, m, n, k), func(b *testing.B) {
+				a, x := NewMatrixElem(m, k, elem), NewMatrixElem(k, n, elem)
+				for _, y := range []*Matrix{a, x} {
+					for i := range y.Data {
+						y.Data[i] = rng.NormFloat64()
+					}
+				}
+				c := NewMatrixElem(m, n, elem)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Gemm(NoTrans, NoTrans, -1, a, x, 1, c)
+				}
+				flops := float64(GemmFlops(m, n, k) * int64(2*elem.Width()-1))
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 

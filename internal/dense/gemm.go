@@ -25,51 +25,41 @@ const (
 	minParallelCols = 32
 )
 
-// view is a window into a column-major operand with an explicit leading
-// dimension and an optional transposition: element (i, j) of op(X) is
-// data[i+j*ld] when !t and data[j+i*ld] when t. The blocked kernels operate
-// on views so TRSM can address sub-blocks of the triangle without copying.
+// view is a strided window onto float64 storage: element (i, j) is
+// data[i*rs+j*cs]. A column-major operand has rs=1, cs=ld; its transpose
+// swaps the strides; the real or imaginary parts of an interleaved complex
+// matrix have rs=2, cs=2·ld. The kernels operate on views so TRSM can
+// address sub-blocks of the triangle and complex GEMM can read interleaved
+// storage without copying.
 type view struct {
-	data []float64
-	ld   int
-	r, c int // dims of op(X)
-	t    bool
+	data   []float64
+	rs, cs int
+	r, c   int
 }
 
 func fullView(m *Matrix, tr Trans) view {
-	r, c := m.Rows, m.Cols
 	if tr == DoTrans {
-		r, c = c, r
+		return view{data: m.Data, rs: m.Rows, cs: 1, r: m.Cols, c: m.Rows}
 	}
-	return view{data: m.Data, ld: m.Rows, r: r, c: c, t: tr == DoTrans}
+	return view{data: m.Data, rs: 1, cs: m.Rows, r: m.Rows, c: m.Cols}
 }
 
-// cols restricts the view to columns [j0, j1) of op(X).
+// cols restricts the view to columns [j0, j1).
 func (v view) cols(j0, j1 int) view {
 	w := v
 	w.c = j1 - j0
-	if j0 == 0 {
-		return w
-	}
-	if v.t {
-		w.data = v.data[j0:]
-	} else {
-		w.data = v.data[j0*v.ld:]
+	if j0 > 0 {
+		w.data = v.data[j0*v.cs:]
 	}
 	return w
 }
 
-// rows restricts the view to rows [i0, i1) of op(X).
+// rows restricts the view to rows [i0, i1).
 func (v view) rows(i0, i1 int) view {
 	w := v
 	w.r = i1 - i0
-	if i0 == 0 {
-		return w
-	}
-	if v.t {
-		w.data = v.data[i0*v.ld:]
-	} else {
-		w.data = v.data[i0:]
+	if i0 > 0 {
+		w.data = v.data[i0*v.rs:]
 	}
 	return w
 }
@@ -77,9 +67,9 @@ func (v view) rows(i0, i1 int) view {
 // Gemm computes c = alpha*op(a)*op(b) + beta*c where op is identity or
 // transpose per ta, tb. Shapes must conform; c must be preallocated.
 //
-// Large products run through the cache-blocked register-tiled kernel and,
-// above parallelGemmFlops, are split across the package worker pool (see
-// SetWorkers); small products use the naive reference loops directly.
+// Tiny products use the naive reference loops; the rest run through the
+// register-tiled micro-kernel (see gemmViews), split across the package
+// worker pool above parallelGemmFlops (see SetWorkers).
 func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if c.Elem == Complex || a.Elem == Complex || b.Elem == Complex {
 		zGemm(ta, tb, alpha, a, b, beta, c)
@@ -107,20 +97,111 @@ func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if alpha == 0 || am == 0 || bn == 0 || ak == 0 {
 		return
 	}
-	flops := 2 * int64(am) * int64(bn) * int64(ak)
-	if flops <= smallGemmFlops {
+	if GemmFlops(am, bn, ak) <= smallGemmFlops {
 		gemmNaive(ta, tb, alpha, a, b, c)
 		return
 	}
-	av, bv := fullView(a, ta), fullView(b, tb)
-	cv := view{data: c.Data, ld: c.Rows, r: am, c: bn}
-	if flops < parallelGemmFlops {
-		gemmBlocked(alpha, av, bv, cv)
+	gemmViews(alpha, fullView(a, ta), fullView(b, tb), view{data: c.Data, rs: 1, cs: c.Rows, r: am, c: bn})
+}
+
+// gemmViews computes cv += alpha*av*bv (cv.rs == 1, no dimension zero).
+// Products at or above parallelGemmFlops split their C column stripes
+// across the worker pool, each stripe through the packed blocked loop.
+// Smaller ones stay on the caller's goroutine; when the k dimension fits
+// one panel and A's rows are contiguous (rs == 1) they skip packing and
+// read both operands in place. The engine's supernode blocks are at most
+// MaxWidth wide, so its products almost all take this path.
+func gemmViews(alpha float64, av, bv, cv view) {
+	if GemmFlops(av.r, bv.c, av.c) >= parallelGemmFlops {
+		parallelRanges(bv.c, minParallelCols, func(j0, j1 int) {
+			gemmBlocked(alpha, av, bv.cols(j0, j1), cv.cols(j0, j1))
+		})
 		return
 	}
-	parallelRanges(bn, minParallelCols, func(j0, j1 int) {
-		gemmBlocked(alpha, av, bv.cols(j0, j1), cv.cols(j0, j1))
-	})
+	if av.rs == 1 && av.c <= blockKC {
+		gemmInPlace(alpha, av, bv, cv)
+		return
+	}
+	gemmBlocked(alpha, av, bv, cv)
+}
+
+// gemmInPlace computes cv += alpha*av*bv without packing, for av.rs == 1 and
+// av.c <= blockKC. Every tile accumulates the whole k range in one kernel
+// call, in the same order as gemmBlocked's single k panel, so results are
+// bitwise identical to it. Full mr-row strips of A and nr-column strips of
+// B are read where they lie. The m mod mr row edge is the last mr rows of A
+// read in place with only the new rows kept; the n mod nr column edge
+// alike. Only an A with fewer than mr rows or a B with fewer than nr
+// columns is copied into an arena buffer.
+func gemmInPlace(alpha float64, av, bv, cv view) {
+	m, n, k := av.r, bv.c, av.c
+	mFull, nFull := m-m%mr, n-n%nr
+	// The edge tiles overlap the last full ones: origin at the last mr rows
+	// and nr columns.
+	iEdge, jEdge := max(m-mr, 0), max(n-nr, 0)
+	var aedge, bedge []float64
+	a0, astep := av.data, av.cs
+	if m < mr {
+		// The kernel reads mr rows at every k step. Copy A's whole span
+		// with mr-m zeros after it, so the extra rows read the next
+		// column's first entries (or the zeros): edge tiles discard them.
+		span := (k-1)*av.cs + m
+		aedge = GetBuf(span + mr - m)
+		clear(aedge[copy(aedge, av.data[:span]):])
+		a0 = aedge
+	}
+	if n < nr {
+		bedge = GetBuf(nr * k)
+		packB(bv, 0, k, 0, n, bedge)
+	}
+	// Row blocks of blockMC keep the A rows in use cache-resident while
+	// every B strip passes over them, as packA's mc panel does.
+	for ic := 0; ic < m; ic += blockMC {
+		ie := min(ic+blockMC, m)
+		for j := 0; j < n; j += nr {
+			j0 := j
+			if j == nFull {
+				j0 = jEdge
+			}
+			b, bcol, bstep := bv.data[j0*bv.cs:], bv.cs, bv.rs
+			if bedge != nil {
+				b, bcol, bstep = bedge, 1, nr
+			}
+			for i := ic; i < ie; i += mr {
+				i0 := i
+				if i == mFull {
+					i0 = iEdge
+				}
+				c := cv.data[i0+j0*cv.cs:]
+				if i < mFull && j < nFull {
+					microKernel(k, alpha, a0[i0:], astep, b, bcol, bstep, c, cv.cs)
+				} else {
+					edgeTile(k, alpha, a0[i0:], astep, b, bcol, bstep, c, cv.cs, i-i0, min(m-i0, mr), j-j0, min(n-j0, nr))
+				}
+			}
+		}
+	}
+	if aedge != nil {
+		PutBuf(aedge)
+	}
+	if bedge != nil {
+		PutBuf(bedge)
+	}
+}
+
+// edgeTile handles a partial tile: the kernel computes the full mr×nr tile
+// into a scratch block, then only rows [i0, i1) and columns [j0, j1) of it
+// are added to c, which addresses the tile's origin.
+func edgeTile(kc int, alpha float64, a []float64, astep int, b []float64, bcol, bstep int, c []float64, ldc, i0, i1, j0, j1 int) {
+	var tmp [mr * nr]float64
+	microKernel(kc, alpha, a, astep, b, bcol, bstep, tmp[:], mr)
+	for j := j0; j < j1; j++ {
+		cj := c[j*ldc+i0 : j*ldc+i1]
+		tj := tmp[j*mr+i0 : j*mr+i1]
+		for i := range cj {
+			cj[i] += tj[i]
+		}
+	}
 }
 
 // gemmBlocked runs the three-level blocked loop nest over one C stripe:
@@ -147,21 +228,11 @@ func gemmBlocked(alpha float64, av, bv, cv view) {
 					for ir := 0; ir < mc; ir += mr {
 						mrr := min(mr, mc-ir)
 						astrip := apack[(ir/mr)*kc*mr:]
+						c := cv.data[(ic+ir)+(jc+jr)*cv.cs:]
 						if mrr == mr && nrr == nr {
-							microKernel(kc, alpha, astrip, bstrip,
-								cv.data[(ic+ir)+(jc+jr)*cv.ld:], cv.ld)
-							continue
-						}
-						// Edge tile: compute the full mr×nr tile into a
-						// scratch block (packed panels are zero-padded),
-						// then add only the in-range entries.
-						var tmp [mr * nr]float64
-						microKernel(kc, alpha, astrip, bstrip, tmp[:], mr)
-						for j := 0; j < nrr; j++ {
-							cj := cv.data[(ic+ir)+(jc+jr+j)*cv.ld:]
-							for i := 0; i < mrr; i++ {
-								cj[i] += tmp[j*mr+i]
-							}
+							microKernel(kc, alpha, astrip, mr, bstrip, 1, nr, c, cv.cs)
+						} else {
+							edgeTile(kc, alpha, astrip, mr, bstrip, 1, nr, c, cv.cs, 0, mrr, 0, nrr)
 						}
 					}
 				}
@@ -172,74 +243,71 @@ func gemmBlocked(alpha float64, av, bv, cv view) {
 	PutBuf(apack)
 }
 
-// packA copies the mc×kc panel of op(A) starting at (i0, p0) into mr-row
-// strips: strip s holds rows [s*mr, s*mr+mr) k-major, dst[s*mr*kc + p*mr + r],
-// zero-padded past mc.
+// packA copies the mc×kc panel of the view starting at (i0, p0) into
+// mr-row strips: strip s holds rows [s*mr, s*mr+mr) k-major,
+// dst[s*mr*kc + p*mr + r], zero-padded past mc.
 func packA(v view, i0, mc, p0, kc int, dst []float64) {
 	for s := 0; s*mr < mc; s++ {
-		base := s * mr * kc
+		d := dst[s*mr*kc : (s+1)*mr*kc]
 		rows := min(mr, mc-s*mr)
-		if !v.t {
+		src := v.data[(i0+s*mr)*v.rs+p0*v.cs:]
+		if v.rs == 1 {
 			for p := 0; p < kc; p++ {
-				src := v.data[(i0+s*mr)+(p0+p)*v.ld:]
-				d := dst[base+p*mr : base+p*mr+mr : base+p*mr+mr]
-				for r := 0; r < rows; r++ {
-					d[r] = src[r]
+				col := src[p*v.cs : p*v.cs+rows]
+				dp := d[p*mr : p*mr+mr : p*mr+mr]
+				for r := range col {
+					dp[r] = col[r]
 				}
 				for r := rows; r < mr; r++ {
-					d[r] = 0
+					dp[r] = 0
 				}
 			}
-		} else {
-			// op(A)(i, p) = stored (p, i): stored column i0+s*mr+r is
-			// contiguous in p.
-			for r := 0; r < rows; r++ {
-				src := v.data[p0+(i0+s*mr+r)*v.ld:]
-				for p := 0; p < kc; p++ {
-					dst[base+p*mr+r] = src[p]
-				}
+			continue
+		}
+		for r := 0; r < rows; r++ {
+			row := src[r*v.rs:]
+			for p := 0; p < kc; p++ {
+				d[p*mr+r] = row[p*v.cs]
 			}
-			for r := rows; r < mr; r++ {
-				for p := 0; p < kc; p++ {
-					dst[base+p*mr+r] = 0
-				}
+		}
+		for r := rows; r < mr; r++ {
+			for p := 0; p < kc; p++ {
+				d[p*mr+r] = 0
 			}
 		}
 	}
 }
 
-// packB copies the kc×nc panel of op(B) starting at (p0, j0) into nr-column
-// strips: strip s holds columns [s*nr, s*nr+nr) k-major, dst[s*nr*kc + p*nr + c],
-// zero-padded past nc.
+// packB copies the kc×nc panel of the view starting at (p0, j0) into
+// nr-column strips: strip s holds columns [s*nr, s*nr+nr) k-major,
+// dst[s*nr*kc + p*nr + c], zero-padded past nc.
 func packB(v view, p0, kc, j0, nc int, dst []float64) {
 	for s := 0; s*nr < nc; s++ {
-		base := s * nr * kc
+		d := dst[s*nr*kc : (s+1)*nr*kc]
 		cols := min(nr, nc-s*nr)
-		if !v.t {
-			// op(B)(p, j) = stored (p, j): stored column j0+s*nr+c is
-			// contiguous in p.
-			for c := 0; c < cols; c++ {
-				src := v.data[p0+(j0+s*nr+c)*v.ld:]
-				for p := 0; p < kc; p++ {
-					dst[base+p*nr+c] = src[p]
-				}
-			}
-			for c := cols; c < nr; c++ {
-				for p := 0; p < kc; p++ {
-					dst[base+p*nr+c] = 0
-				}
-			}
-		} else {
-			// op(B)(p, j) = stored (j, p): row slice of stored column p0+p.
+		src := v.data[p0*v.rs+(j0+s*nr)*v.cs:]
+		if v.cs == 1 {
 			for p := 0; p < kc; p++ {
-				src := v.data[(j0+s*nr)+(p0+p)*v.ld:]
-				d := dst[base+p*nr : base+p*nr+nr : base+p*nr+nr]
-				for c := 0; c < cols; c++ {
-					d[c] = src[c]
+				row := src[p*v.rs : p*v.rs+cols]
+				dp := d[p*nr : p*nr+nr : p*nr+nr]
+				for c := range row {
+					dp[c] = row[c]
 				}
 				for c := cols; c < nr; c++ {
-					d[c] = 0
+					dp[c] = 0
 				}
+			}
+			continue
+		}
+		for c := 0; c < cols; c++ {
+			col := src[c*v.cs:]
+			for p := 0; p < kc; p++ {
+				d[p*nr+c] = col[p*v.rs]
+			}
+		}
+		for c := cols; c < nr; c++ {
+			for p := 0; p < kc; p++ {
+				d[p*nr+c] = 0
 			}
 		}
 	}

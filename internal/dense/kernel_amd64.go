@@ -7,7 +7,7 @@ package dense
 var hasAsmKernel = detectAVX2FMA()
 
 //go:noescape
-func dgemmKernel8x4(kc int64, alpha float64, a, b, c *float64, ldc int64)
+func dgemmStrided8x4(kc int64, alpha float64, a *float64, astep int64, b *float64, bcol, bstep int64, c *float64, ldc int64)
 
 //go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -39,12 +39,16 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// microKernel computes c[i+j*ldc] += alpha * Σ_p a[p*mr+i]*b[p*nr+j] for a
-// full mr×nr tile from packed panels.
-func microKernel(kc int, alpha float64, a, b, c []float64, ldc int) {
-	if hasAsmKernel {
-		dgemmKernel8x4(int64(kc), alpha, &a[0], &b[0], &c[0], int64(ldc))
+// microKernel computes one mr×nr tile (see microKernelGo for the contract).
+// kc must be at least 1. The index checks bound every word the assembly
+// kernel touches, so a stride mistake panics instead of reading past a slice.
+func microKernel(kc int, alpha float64, a []float64, astep int, b []float64, bcol, bstep int, c []float64, ldc int) {
+	if !hasAsmKernel {
+		microKernelGo(kc, alpha, a, astep, b, bcol, bstep, c, ldc)
 		return
 	}
-	microKernelGo(kc, alpha, a, b, c, ldc)
+	_ = a[(kc-1)*astep+mr-1]
+	_ = b[(nr-1)*bcol+(kc-1)*bstep]
+	_ = c[(nr-1)*ldc+mr-1]
+	dgemmStrided8x4(int64(kc), alpha, &a[0], int64(astep), &b[0], int64(bcol), int64(bstep), &c[0], int64(ldc))
 }

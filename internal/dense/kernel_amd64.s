@@ -1,21 +1,30 @@
-// AVX2+FMA micro-kernel for the blocked GEMM. The hot loop computes an
-// 8×4 block of C from packed panels of A (8-row strips, k-major) and B
-// (4-column strips, k-major): 8 FMAs per k step over 8 independent ymm
-// accumulators, 32 flops per iteration.
+// AVX2+FMA micro-kernel for GEMM. The hot loop computes an 8×4 block of C
+// from an 8-row strip of A and a 4-column strip of B, both addressed by
+// explicit strides, so one kernel serves packed panels and operands read
+// in place: 8 FMAs per k step over 8 independent ymm accumulators, 32
+// flops per iteration.
 
 #include "textflag.h"
 
-// func dgemmKernel8x4(kc int64, alpha float64, a, b, c *float64, ldc int64)
+// func dgemmStrided8x4(kc int64, alpha float64, a *float64, astep int64, b *float64, bcol, bstep int64, c *float64, ldc int64)
 //
-// c[i + j*ldc] += alpha * Σ_p a[p*8+i] * b[p*4+j]   for i<8, j<4.
-// ldc is in elements. kc may be zero.
-TEXT ·dgemmKernel8x4(SB), NOSPLIT, $0-48
+// c[i + j*ldc] += alpha * Σ_p a[p*astep+i] * b[j*bcol+p*bstep]   for i<8, j<4.
+// Strides are in elements; the 8 A values of one k step are contiguous.
+// kc may be zero.
+TEXT ·dgemmStrided8x4(SB), NOSPLIT, $0-72
 	MOVQ kc+0(FP), CX
 	MOVQ a+16(FP), SI
-	MOVQ b+24(FP), DI
-	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
-	SHLQ $3, R8 // ldc in bytes
+	MOVQ astep+24(FP), R9
+	MOVQ b+32(FP), DI
+	MOVQ bcol+40(FP), R10
+	MOVQ bstep+48(FP), R12
+	MOVQ c+56(FP), DX
+	MOVQ ldc+64(FP), R8
+	SHLQ $3, R8  // ldc in bytes
+	SHLQ $3, R9  // astep in bytes
+	SHLQ $3, R10 // bcol in bytes
+	SHLQ $3, R12 // bstep in bytes
+	LEAQ (R10)(R10*2), R11 // 3*bcol in bytes
 
 	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
@@ -33,22 +42,22 @@ loop:
 	VMOVUPD (SI), Y0   // a[0:4]
 	VMOVUPD 32(SI), Y1 // a[4:8]
 
-	VBROADCASTSD (DI), Y2
-	VBROADCASTSD 8(DI), Y3
+	VBROADCASTSD (DI), Y2        // b column 0
+	VBROADCASTSD (DI)(R10*1), Y3 // b column 1
 	VFMADD231PD  Y0, Y2, Y4
 	VFMADD231PD  Y1, Y2, Y5
 	VFMADD231PD  Y0, Y3, Y6
 	VFMADD231PD  Y1, Y3, Y7
 
-	VBROADCASTSD 16(DI), Y2
-	VBROADCASTSD 24(DI), Y3
+	VBROADCASTSD (DI)(R10*2), Y2 // b column 2
+	VBROADCASTSD (DI)(R11*1), Y3 // b column 3
 	VFMADD231PD  Y0, Y2, Y8
 	VFMADD231PD  Y1, Y2, Y9
 	VFMADD231PD  Y0, Y3, Y10
 	VFMADD231PD  Y1, Y3, Y11
 
-	ADDQ $64, SI
-	ADDQ $32, DI
+	ADDQ R9, SI
+	ADDQ R12, DI
 	DECQ CX
 	JNZ  loop
 

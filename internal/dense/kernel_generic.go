@@ -6,6 +6,6 @@ package dense
 // the portable Go tile kernel is used instead.
 const hasAsmKernel = false
 
-func microKernel(kc int, alpha float64, a, b, c []float64, ldc int) {
-	microKernelGo(kc, alpha, a, b, c, ldc)
+func microKernel(kc int, alpha float64, a []float64, astep int, b []float64, bcol, bstep int, c []float64, ldc int) {
+	microKernelGo(kc, alpha, a, astep, b, bcol, bstep, c, ldc)
 }

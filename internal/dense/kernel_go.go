@@ -1,26 +1,32 @@
 package dense
 
-// Micro-tile dimensions shared by the packing code and both kernel
-// implementations: the kernel consumes mr-row strips of packed A and
-// nr-column strips of packed B.
+import "math"
+
+// Micro-tile dimensions shared by the GEMM loops and both kernel
+// implementations: the kernel computes an mr-row by nr-column tile of C.
 const (
 	mr = 8
 	nr = 4
 )
 
-// microKernelGo is the portable register-tiled kernel: an mr×nr accumulator
-// tile updated with one rank-1 step per k iteration. It is the fallback for
-// machines without the assembly kernel and the reference for testing it.
-func microKernelGo(kc int, alpha float64, a, b, c []float64, ldc int) {
+// microKernelGo is the portable register-tiled kernel and the reference the
+// assembly kernel is tested against. It computes
+//
+//	c[i+j*ldc] += alpha * Σ_p a[p*astep+i] * b[j*bcol+p*bstep]   (i<mr, j<nr)
+//
+// with one fused multiply-add per term into an mr×nr accumulator tile and
+// one more to apply alpha, the same roundings as the assembly, so both give
+// bitwise identical results. Packed panels use astep=mr, bcol=1, bstep=nr;
+// a column-major operand read in place uses astep=lda and bcol=ldb, bstep=1.
+func microKernelGo(kc int, alpha float64, a []float64, astep int, b []float64, bcol, bstep int, c []float64, ldc int) {
 	var acc [mr * nr]float64
 	for p := 0; p < kc; p++ {
-		ap := a[p*mr : p*mr+mr : p*mr+mr]
-		bp := b[p*nr : p*nr+nr : p*nr+nr]
+		ap := a[p*astep : p*astep+mr : p*astep+mr]
 		for j := 0; j < nr; j++ {
-			bj := bp[j]
+			bj := b[j*bcol+p*bstep]
 			aj := acc[j*mr : j*mr+mr : j*mr+mr]
 			for i := 0; i < mr; i++ {
-				aj[i] += ap[i] * bj
+				aj[i] = math.FMA(ap[i], bj, aj[i])
 			}
 		}
 	}
@@ -28,7 +34,7 @@ func microKernelGo(kc int, alpha float64, a, b, c []float64, ldc int) {
 		cj := c[j*ldc : j*ldc+mr : j*ldc+mr]
 		aj := acc[j*mr : j*mr+mr : j*mr+mr]
 		for i := 0; i < mr; i++ {
-			cj[i] += alpha * aj[i]
+			cj[i] = math.FMA(alpha, aj[i], cj[i])
 		}
 	}
 }

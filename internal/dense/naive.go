@@ -1,10 +1,10 @@
 package dense
 
 // Naive reference kernels: the original unblocked triple-loop GEMM and the
-// scalar TRSM. They remain the executable specification the blocked/tiled
-// kernels are property-tested against, and they serve as the fast path for
-// tiny operands where packing overhead would dominate (the engine's many
-// small supernode blocks).
+// scalar TRSM. They remain the executable specification the tiled kernels
+// are property-tested against; gemmNaive is also the fast path for products
+// below smallGemmFlops, where even one micro-kernel tile would be mostly
+// padding.
 
 // gemmNaive computes c += alpha*op(a)*op(b) with the four loop orders
 // specialized for cache-friendly column-major access. Shapes are assumed
@@ -77,8 +77,9 @@ func gemmNaive(ta, tb Trans, alpha float64, a, b, c *Matrix) {
 
 // trsmNaive solves the triangular system on the column range [j0, j1) of b
 // (side == Left) or the row range [j0, j1) of b (side == Right), in place,
-// one scalar solve at a time. It is the reference implementation and the
-// execution kernel for small triangles.
+// one scalar solve at a time, reading the triangle through a closure. It is
+// the test reference; Trsm solves small triangles with solveDiagLeft and
+// solveDiagRight, which run the same loops over plain slices.
 func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, j0, j1 int) {
 	n := t.Rows
 	// Effective triangle after transposition.

@@ -58,7 +58,21 @@ func Trsm(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix) {
 // Left, rows for Right).
 func trsmRange(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, lo, hi int) {
 	if t.Rows <= trsmBlockN {
-		trsmNaive(side, uplo, tt, diag, t, b, lo, hi)
+		// One diagonal block covers the triangle: solve it directly, in
+		// trsmNaive's loop order (bitwise equal) but over plain slices.
+		td := t
+		if tt == DoTrans {
+			td = packDiag(t, tt, 0, t.Rows)
+		}
+		lower := (uplo == Lower) != (tt == DoTrans)
+		if side == Left {
+			solveDiagLeft(lower, diag, td, b, 0, lo, hi)
+		} else {
+			solveDiagRight(lower, diag, td, b, 0, lo, hi)
+		}
+		if td != t {
+			PutMatrix(td)
+		}
 		return
 	}
 	if side == Left {
@@ -94,7 +108,7 @@ func packDiag(t *Matrix, tt Trans, d0, d1 int) *Matrix {
 func trsmBlockedLeft(uplo UpLo, tt Trans, diag Diag, t, b *Matrix, lo, hi int) {
 	n := t.Rows
 	ot := fullView(t, tt)
-	bw := view{data: b.Data, ld: b.Rows, r: b.Rows, c: b.Cols}.cols(lo, hi)
+	bw := fullView(b, NoTrans).cols(lo, hi)
 	effLower := (uplo == Lower) != (tt == DoTrans)
 	if effLower {
 		for d0 := 0; d0 < n; d0 += trsmNB {
@@ -125,7 +139,7 @@ func trsmBlockedLeft(uplo UpLo, tt Trans, diag Diag, t, b *Matrix, lo, hi int) {
 func trsmBlockedRight(uplo UpLo, tt Trans, diag Diag, t, b *Matrix, lo, hi int) {
 	n := t.Rows
 	ot := fullView(t, tt)
-	bw := view{data: b.Data, ld: b.Rows, r: b.Rows, c: b.Cols}.rows(lo, hi)
+	bw := fullView(b, NoTrans).rows(lo, hi)
 	effLower := (uplo == Lower) != (tt == DoTrans)
 	if effLower {
 		// Column blocks from high to low: X_D T_DD = B_D after removing

@@ -10,6 +10,7 @@ package ordering
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pselinv/internal/sparse"
@@ -290,7 +291,7 @@ func bisect(adj [][]int, vertices []int) (left, right, sep []int) {
 	for _, l := range level {
 		counts[l]++
 	}
-	bestLevel, bestScore := -1, 1<<62
+	bestLevel, bestScore := -1, math.MaxInt
 	below := 0
 	for l := 0; l < maxLv; l++ {
 		below += counts[l]
@@ -468,7 +469,7 @@ func MinDegree(adj [][]int) []int {
 	for k := 0; k < n; k++ {
 		// Pick the minimum-degree live variable (ties: smallest id, for
 		// determinism).
-		best, bestDeg := -1, 1<<62
+		best, bestDeg := -1, math.MaxInt
 		for v := 0; v < n; v++ {
 			if eliminated[v] {
 				continue
