@@ -103,7 +103,7 @@ func (c *Crash) Error() string {
 // the counters are atomics so a deadlock report can read them while stalled
 // ranks are still asleep.
 type dstState struct {
-	delivered int64 // atomic
+	delivered atomic.Int64
 	// head-of-line tracking for the MaxHold progress bound
 	holdSrc    int
 	holdSerial uint64
@@ -211,7 +211,7 @@ func (st *dstState) noteBypass(pending []simmpi.Message, idx int) {
 // duplicate detection, stall sleeps, and crash panics.
 func (a *Adversary) Delivered(dst int, msg *simmpi.Message) {
 	st := &a.dst[dst]
-	n := atomic.AddInt64(&st.delivered, 1)
+	n := st.delivered.Add(1)
 	if a.cfg.DupDetect {
 		m := st.seen[msg.Src]
 		if m == nil {
@@ -235,7 +235,7 @@ func (a *Adversary) Delivered(dst int, msg *simmpi.Message) {
 // DeliveredCount returns how many messages rank dst has received through
 // the adversary.
 func (a *Adversary) DeliveredCount(dst int) int64 {
-	return atomic.LoadInt64(&a.dst[dst].delivered)
+	return a.dst[dst].delivered.Load()
 }
 
 func splitmix64(x uint64) uint64 {

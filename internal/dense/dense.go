@@ -11,6 +11,7 @@ package dense
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // Matrix is a dense column-major matrix. Elem selects the element type:
@@ -264,35 +265,19 @@ func LU(a *Matrix) error {
 	if a.Cols != n {
 		panic("dense: LU of non-square matrix")
 	}
-	if a.Elem == Complex {
-		return zLU(a)
-	}
 	for k := 0; k < n; k++ {
-		p := a.At(k, k)
-		if math.Abs(p) < 1e-300 {
+		if a.absAt(k, k) < 1e-300 {
 			return fmt.Errorf("dense: zero pivot at %d", k)
 		}
-		for i := k + 1; i < n; i++ {
-			a.Set(i, k, a.At(i, k)/p)
-		}
-		for j := k + 1; j < n; j++ {
-			akj := a.At(k, j)
-			if akj == 0 {
-				continue
-			}
-			col := a.Data[j*n : (j+1)*n]
-			lcol := a.Data[k*n : (k+1)*n]
-			for i := k + 1; i < n; i++ {
-				col[i] -= lcol[i] * akj
-			}
-		}
+		a.eliminate(k)
 	}
 	return nil
 }
 
-// LUPartialPivot factors a in place with partial (row) pivoting and returns
-// the pivot permutation: row i of the factored matrix corresponds to row
-// perm[i] of the input. Returns an error on exact singularity.
+// LUPartialPivot factors a (real or complex) in place with partial (row)
+// pivoting on the largest |a_ik| and returns the pivot permutation: row i
+// of the factored matrix corresponds to row perm[i] of the input. Returns
+// an error on exact singularity.
 func LUPartialPivot(a *Matrix) ([]int, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -302,11 +287,12 @@ func LUPartialPivot(a *Matrix) ([]int, error) {
 	for i := range perm {
 		perm[i] = i
 	}
+	w := a.Width()
 	for k := 0; k < n; k++ {
 		// Pick pivot row.
-		best, bi := math.Abs(a.At(k, k)), k
+		best, bi := a.absAt(k, k), k
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a.At(i, k)); v > best {
+			if v := a.absAt(i, k); v > best {
 				best, bi = v, i
 			}
 		}
@@ -316,28 +302,49 @@ func LUPartialPivot(a *Matrix) ([]int, error) {
 		if bi != k {
 			perm[k], perm[bi] = perm[bi], perm[k]
 			for j := 0; j < n; j++ {
-				v := a.At(k, j)
-				a.Set(k, j, a.At(bi, j))
-				a.Set(bi, j, v)
+				p, q := w*(k+j*n), w*(bi+j*n)
+				for x := 0; x < w; x++ {
+					a.Data[p+x], a.Data[q+x] = a.Data[q+x], a.Data[p+x]
+				}
 			}
 		}
-		p := a.At(k, k)
-		for i := k + 1; i < n; i++ {
-			a.Set(i, k, a.At(i, k)/p)
-		}
-		for j := k + 1; j < n; j++ {
-			akj := a.At(k, j)
-			if akj == 0 {
-				continue
-			}
-			col := a.Data[j*n : (j+1)*n]
-			lcol := a.Data[k*n : (k+1)*n]
-			for i := k + 1; i < n; i++ {
-				col[i] -= lcol[i] * akj
-			}
-		}
+		a.eliminate(k)
 	}
 	return perm, nil
+}
+
+// absAt returns |a_ij| for either element type.
+func (a *Matrix) absAt(i, j int) float64 {
+	if a.Elem == Complex {
+		return cmplx.Abs(a.ZAt(i, j))
+	}
+	return math.Abs(a.At(i, j))
+}
+
+// eliminate runs step k of right-looking LU on the square matrix a: it
+// scales column k below the (nonzero) pivot and applies the rank-1 update
+// to the trailing block.
+func (a *Matrix) eliminate(k int) {
+	if a.Elem == Complex {
+		zEliminate(a, k)
+		return
+	}
+	n := a.Rows
+	p := a.At(k, k)
+	for i := k + 1; i < n; i++ {
+		a.Set(i, k, a.At(i, k)/p)
+	}
+	for j := k + 1; j < n; j++ {
+		akj := a.At(k, j)
+		if akj == 0 {
+			continue
+		}
+		col := a.Data[j*n : (j+1)*n]
+		lcol := a.Data[k*n : (k+1)*n]
+		for i := k + 1; i < n; i++ {
+			col[i] -= lcol[i] * akj
+		}
+	}
 }
 
 // TriInverse returns the inverse of the triangular matrix t (with the given
@@ -352,8 +359,8 @@ func TriInverse(uplo UpLo, diag Diag, t *Matrix) *Matrix {
 	return inv
 }
 
-// Inverse returns a⁻¹ computed via partially pivoted LU. The input is not
-// modified.
+// Inverse returns a⁻¹ (real or complex) computed via partially pivoted LU.
+// The input is not modified.
 func Inverse(a *Matrix) (*Matrix, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -364,34 +371,32 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Solve A X = I, i.e. L U X = P I.
-	x := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		// Column j of P*I has a 1 at the position where perm[i] == j.
-		for i := 0; i < n; i++ {
-			if perm[i] == j {
-				x.Set(i, j, 1)
-			}
-		}
+	// Solve A X = I, i.e. L U X = P I: row i of P I has its one in column
+	// perm[i] (the real part, for a complex matrix).
+	x := NewMatrixElem(n, n, a.Elem)
+	for i, j := range perm {
+		x.Data[a.Width()*(i+j*n)] = 1
 	}
 	Trsm(Left, Lower, NoTrans, Unit, f, x)
 	Trsm(Left, Upper, NoTrans, NonUnit, f, x)
 	return x, nil
 }
 
-// SplitLU unpacks an in-place LU factorization into explicit unit-lower L
-// and upper U factors.
+// SplitLU unpacks an in-place LU factorization (real or complex) into
+// explicit unit-lower L and upper U factors.
 func SplitLU(f *Matrix) (l, u *Matrix) {
-	n := f.Rows
-	l = Eye(n)
-	u = NewMatrix(n, n)
+	n, w := f.Rows, f.Width()
+	l = NewMatrixElem(n, n, f.Elem)
+	u = NewMatrixElem(n, n, f.Elem)
 	for j := 0; j < n; j++ {
+		l.Data[w*(j+j*n)] = 1
 		for i := 0; i < n; i++ {
+			dst := u
 			if i > j {
-				l.Set(i, j, f.At(i, j))
-			} else {
-				u.Set(i, j, f.At(i, j))
+				dst = l
 			}
+			p := w * (i + j*n)
+			copy(dst.Data[p:p+w], f.Data[p:p+w])
 		}
 	}
 	return l, u

@@ -29,6 +29,40 @@ func randDiagDom(rng *rand.Rand, n int) *Matrix {
 	return a
 }
 
+// randShifted returns the complex matrix A − zI for a random diagonally
+// dominant real A: the pole-expansion shape, nonsingular for Im(z) ≠ 0.
+func randShifted(rng *rand.Rand, n int, z complex128) *Matrix {
+	a := randDiagDom(rng, n)
+	m := NewComplexMatrix(n, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			m.ZSet(i, j, complex(a.At(i, j), 0))
+		}
+		m.ZAdd(j, j, -z)
+	}
+	return m
+}
+
+// zeroPivotZ returns a nonsingular complex matrix whose unpivoted LU meets
+// a zero pivot in its first step.
+func zeroPivotZ() *Matrix {
+	a := NewComplexMatrix(2, 2)
+	a.ZSet(0, 1, complex(1, 1))
+	a.ZSet(1, 0, complex(0, 2))
+	a.ZSet(1, 1, 3)
+	return a
+}
+
+// identityResidual returns max |(A·X − I)| over the stored words of
+// either element type.
+func identityResidual(a, x *Matrix) float64 {
+	r := Mul(NoTrans, NoTrans, a, x)
+	for i := 0; i < r.Rows; i++ {
+		r.Data[r.Width()*(i+i*r.Rows)]--
+	}
+	return r.MaxAbs()
+}
+
 func naiveMul(ta, tb Trans, a, b *Matrix) *Matrix {
 	opA, opB := a, b
 	if ta == DoTrans {
@@ -193,24 +227,45 @@ func TestLUZeroPivot(t *testing.T) {
 	if err := LU(a); err == nil {
 		t.Fatal("expected zero-pivot error")
 	}
+	if err := LU(zeroPivotZ()); err == nil {
+		t.Fatal("expected complex zero-pivot error")
+	}
 }
 
 func TestLUPartialPivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var re, cx []*Matrix
 	for n := 1; n <= 10; n++ {
-		a := randMat(rng, n, n)
-		f := a.Clone()
-		perm, err := LUPartialPivot(f)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		l, u := SplitLU(f)
-		lu := Mul(NoTrans, NoTrans, l, u)
-		// lu row i should equal a row perm[i].
-		for i := 0; i < n; i++ {
+		re = append(re, randMat(rng, n, n))
+	}
+	for n := 1; n <= 10; n++ {
+		cx = append(cx, randZMat(rng, n, n))
+	}
+	for _, c := range []struct {
+		name string
+		mats []*Matrix
+	}{
+		{"real", re},
+		{"complex", cx},
+		{"complex zero leading pivot", []*Matrix{zeroPivotZ()}},
+	} {
+		for _, a := range c.mats {
+			n, w := a.Rows, a.Width()
+			f := a.Clone()
+			perm, err := LUPartialPivot(f)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", c.name, n, err)
+			}
+			l, u := SplitLU(f)
+			lu := Mul(NoTrans, NoTrans, l, u)
+			// lu row i should equal a row perm[i].
 			for j := 0; j < n; j++ {
-				if math.Abs(lu.At(i, j)-a.At(perm[i], j)) > 1e-9 {
-					t.Fatalf("n=%d: PA != LU at (%d,%d)", n, i, j)
+				for i := 0; i < n; i++ {
+					for x := 0; x < w; x++ {
+						if math.Abs(lu.Data[w*(i+j*n)+x]-a.Data[w*(perm[i]+j*n)+x]) > 1e-9 {
+							t.Fatalf("%s n=%d: PA != LU at (%d,%d)", c.name, n, i, j)
+						}
+					}
 				}
 			}
 		}
@@ -226,14 +281,32 @@ func TestLUPartialPivotSingular(t *testing.T) {
 
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	var re, cx []*Matrix
 	for n := 1; n <= 15; n++ {
-		a := randDiagDom(rng, n)
-		inv, err := Inverse(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if d := Mul(NoTrans, NoTrans, a, inv).MaxAbsDiff(Eye(n)); d > 1e-9 {
-			t.Errorf("n=%d: |A*inv(A)-I| = %g", n, d)
+		re = append(re, randDiagDom(rng, n))
+	}
+	for n := 1; n <= 15; n++ {
+		cx = append(cx, randShifted(rng, n, complex(0.5, 1.5)))
+	}
+	for _, c := range []struct {
+		name string
+		mats []*Matrix
+	}{
+		{"real", re},
+		{"complex off-axis shift", cx},
+		{"complex zero leading pivot", []*Matrix{zeroPivotZ()}},
+	} {
+		for _, a := range c.mats {
+			inv, err := Inverse(a)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", c.name, a.Rows, err)
+			}
+			if inv.Elem != a.Elem {
+				t.Fatalf("%s n=%d: inverse is %v, want %v", c.name, a.Rows, inv.Elem, a.Elem)
+			}
+			if d := identityResidual(a, inv); d > 1e-9 {
+				t.Errorf("%s n=%d: |A*inv(A)-I| = %g", c.name, a.Rows, d)
+			}
 		}
 	}
 }

@@ -313,7 +313,7 @@ func packB(v view, p0, kc, j0, nc int, dst []float64) {
 	}
 }
 
-// Mul returns op(a)*op(b) as a fresh matrix.
+// Mul returns op(a)*op(b) as a fresh matrix of the operands' element type.
 func Mul(ta, tb Trans, a, b *Matrix) *Matrix {
 	am := a.Rows
 	if ta == DoTrans {
@@ -323,7 +323,7 @@ func Mul(ta, tb Trans, a, b *Matrix) *Matrix {
 	if tb == DoTrans {
 		bn = b.Rows
 	}
-	c := NewMatrix(am, bn)
+	c := NewMatrixElem(am, bn, a.Elem)
 	Gemm(ta, tb, 1, a, b, 0, c)
 	return c
 }

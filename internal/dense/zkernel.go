@@ -1,9 +1,6 @@
 package dense
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // Complex kernels over the interleaved packed storage. The scalar factors
 // stay real (float64): every call site in the factorization and the
@@ -189,32 +186,27 @@ func zTrsm(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix) {
 	}
 }
 
-// zLU factors the complex matrix in place without pivoting (unit-lower L,
-// upper U packed). The complex-shifted matrices of pole expansion, A − zI
-// with Im(z) ≠ 0 and A real diagonally dominant, are safely nonsingular.
-func zLU(a *Matrix) error {
+// zEliminate is eliminate for complex storage: step k of unpivoted LU
+// (unit-lower L, upper U packed). The complex-shifted matrices of pole
+// expansion, A − zI with Im(z) ≠ 0 and A real diagonally dominant, are
+// safely nonsingular.
+func zEliminate(a *Matrix, k int) {
 	n := a.Rows
-	for k := 0; k < n; k++ {
-		p := a.ZAt(k, k)
-		if cmplx.Abs(p) < 1e-300 {
-			return fmt.Errorf("dense: zero pivot at %d", k)
+	p := a.ZAt(k, k)
+	for i := k + 1; i < n; i++ {
+		a.ZSet(i, k, a.ZAt(i, k)/p)
+	}
+	for j := k + 1; j < n; j++ {
+		ar, ai := real(a.ZAt(k, j)), imag(a.ZAt(k, j))
+		if ar == 0 && ai == 0 {
+			continue
 		}
+		col := a.Data[2*j*n : 2*(j+1)*n]
+		lcol := a.Data[2*k*n : 2*(k+1)*n]
 		for i := k + 1; i < n; i++ {
-			a.ZSet(i, k, a.ZAt(i, k)/p)
-		}
-		for j := k + 1; j < n; j++ {
-			ar, ai := real(a.ZAt(k, j)), imag(a.ZAt(k, j))
-			if ar == 0 && ai == 0 {
-				continue
-			}
-			col := a.Data[2*j*n : 2*(j+1)*n]
-			lcol := a.Data[2*k*n : 2*(k+1)*n]
-			for i := k + 1; i < n; i++ {
-				lr, li := lcol[2*i], lcol[2*i+1]
-				col[2*i] -= lr*ar - li*ai
-				col[2*i+1] -= lr*ai + li*ar
-			}
+			lr, li := lcol[2*i], lcol[2*i+1]
+			col[2*i] -= lr*ar - li*ai
+			col[2*i+1] -= lr*ai + li*ar
 		}
 	}
-	return nil
 }

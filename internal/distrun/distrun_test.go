@@ -15,8 +15,8 @@ import (
 	"pselinv/internal/exp"
 	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
+	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // TestMain installs the worker hook: when the launcher re-executes this
@@ -323,8 +323,8 @@ func (w testWriter) Write(p []byte) (int, error) {
 
 // TestDistributedComplexParityTCP: a complex-shift selected inversion on
 // four OS processes meshed over TCP must be bit-identical to an
-// in-process run of the same plan, and agree with the serial zselinv
-// reference to within zselinv.RelTol. Workers discard their A⁻¹ shares
+// in-process run of the same plan, and agree with the serial selinv
+// reference to within selinv.RelTol. Workers discard their A⁻¹ shares
 // after the run, so the check is distributed too: every rank recomputes
 // both references locally and verifies each block it owns
 // (Spec.SelfCheck); the launcher then checks the shares cover the whole
@@ -345,8 +345,8 @@ func TestDistributedComplexParityTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := zselinv.SelInvFromLU(lu, complex(spec.ZRe, spec.ZIm))
-	wantBlocks := int64(len(ref.Ainv))
+	ref := selinv.SelInv(lu)
+	wantBlocks := int64(ref.Ainv.NumBlocks())
 	ref.Release()
 
 	dir := t.TempDir()

@@ -68,13 +68,13 @@ type Spec struct {
 	// Complex switches the run to the complex-shift kernel: the staged
 	// matrix is factorized as A − zI with z = ZRe + i·ZIm on a general
 	// (asymmetric-path) plan. The result is bit-exact for a fixed plan on
-	// every transport, and within zselinv.RelTol of the serial reference.
+	// every transport, and within selinv.RelTol of the serial reference.
 	Complex bool    `json:"complex,omitempty"`
 	ZRe     float64 `json:"z_re,omitempty"`
 	ZIm     float64 `json:"z_im,omitempty"`
 	// SelfCheck makes every worker verify each result block it owns
 	// before reporting (complex runs only): bit for bit against an
-	// in-process run of the same plan, and to within zselinv.RelTol against
+	// in-process run of the same plan, and to within selinv.RelTol against
 	// the serial reference. Workers discard their A⁻¹ shares, so this is
 	// how a multi-process run certifies its numerics: each rank checks its
 	// own share, and the launcher sums the counts.

@@ -17,10 +17,10 @@ import (
 	"pselinv/internal/exp"
 	"pselinv/internal/obs"
 	"pselinv/internal/pselinv"
+	"pselinv/internal/selinv"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/tcptransport"
 	"pselinv/internal/trace"
-	"pselinv/internal/zselinv"
 )
 
 // Environment variables that switch a binary into worker mode. The
@@ -249,8 +249,8 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 
 // selfCheckComplex verifies every result block the rank gathered against
 // two local references: an in-process run of the same plan, which it must
-// match bit for bit, and the serial zselinv reference, which it must match
-// within zselinv.RelTol. On a distributed transport the gathered result
+// match bit for bit, and the serial selinv reference, which it must match
+// within selinv.RelTol. On a distributed transport the gathered result
 // holds exactly this rank's share, so the union of all workers' checks
 // covers the full selected inverse.
 func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, eng *pselinv.Engine, runRes *pselinv.RunResult) (int64, error) {
@@ -259,16 +259,16 @@ func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, eng *pselinv.Eng
 		return 0, fmt.Errorf("rank %d: in-process reference run: %w", rank, err)
 	}
 	defer local.Release()
-	ref := zselinv.SelInvFromLU(pipe.LU, complex(spec.ZRe, spec.ZIm))
+	ref := selinv.SelInv(pipe.LU)
 	defer ref.Release()
-	tol := zselinv.RelTol * ref.Scale()
+	tol := selinv.RelTol * ref.Scale()
 	var checked int64
 	var checkErr error
 	runRes.Ainv.Range(func(key blockmat.Key, got *dense.Matrix) {
 		if checkErr != nil {
 			return
 		}
-		want, ok := ref.Block(key.I, key.J)
+		want, ok := ref.Ainv.Get(key.I, key.J)
 		if !ok {
 			checkErr = fmt.Errorf("rank %d: block (%d,%d) absent from the serial reference", rank, key.I, key.J)
 			return

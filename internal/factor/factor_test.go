@@ -72,7 +72,9 @@ func TestDiagInverse(t *testing.T) {
 	// trailing block of A⁻¹.
 	ns := an.BP.NumSnodes()
 	k := ns - 1
-	inv := lu.DiagInverse(k)
+	w := an.BP.Part.Width(k)
+	inv := dense.NewMatrix(w, w)
+	lu.DiagInverseTo(k, inv)
 	ad, err := dense.Inverse(an.A.ToDense())
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ import (
 	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
+	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // BatchConfig controls a multi-pole batch run.
@@ -142,16 +142,12 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		t0 := time.Now()
 		if cfg.Procs == 1 && !cfg.DAG {
 			// Single-rank groups skip the engine's wire serialization and
-			// run the serial kernel — bit-identical to a one-rank engine
-			// run by the complex parity suite.
-			zr := zselinv.SelInvFromLU(job.lu, pole.Z)
+			// run the serial reference — bit-identical to a one-rank
+			// engine run by the complex parity suite.
+			zr := selinv.SelInv(job.lu)
 			for orig := 0; orig < n; orig++ {
 				p := an.PermTotal[orig]
-				v, ok := zr.Entry(p, p)
-				if !ok {
-					return nil, fmt.Errorf("pexsi: pole %d: diagonal entry %d missing", job.l, orig)
-				}
-				res.Density[orig] += real(pole.Weight * v)
+				res.Density[orig] += real(pole.Weight * zr.Ainv.ZAt(p, p))
 			}
 			zr.Release()
 		} else {

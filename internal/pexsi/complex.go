@@ -12,8 +12,8 @@ import (
 	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
+	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // ComplexPole is one term of a complex pole expansion: the density
@@ -133,18 +133,15 @@ func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) 
 			}
 			run.Release()
 		} else {
-			zr, err := zselinv.SelInvShifted(an, pole.Z)
+			lu, err := factor.FactorizeShifted(an.A, pole.Z, an.BP)
 			if err != nil {
 				return fmt.Errorf("pexsi: pole %d (z=%v): %w", l, pole.Z, err)
 			}
-			res.LogDets[l] = zr.LogDet()
+			zr := selinv.SelInv(lu)
+			res.LogDets[l] = lu.LogDet()
 			for orig := 0; orig < n; orig++ {
 				p := an.PermTotal[orig]
-				v, ok := zr.Entry(p, p)
-				if !ok {
-					return fmt.Errorf("pexsi: pole %d: diagonal entry %d missing", l, orig)
-				}
-				d[orig] = real(pole.Weight * v)
+				d[orig] = real(pole.Weight * zr.Ainv.ZAt(p, p))
 			}
 			zr.Release()
 		}

@@ -5,8 +5,8 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"pselinv/internal/dense"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zdense"
 )
 
 // mustPoles builds a Matsubara pole set, failing the test on bad input.
@@ -54,21 +54,19 @@ func denseTruncatedFermi(t *testing.T, a *sparse.CSC, poles []ComplexPole) []flo
 		out[i] = 0.5
 	}
 	for _, p := range poles {
-		d := zdense.NewMatrix(n, n)
+		d := dense.NewComplexMatrix(n, n)
 		for j := 0; j < n; j++ {
 			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-				d.Set(a.RowIdx[k], j, complex(a.Val[k], 0))
+				d.ZSet(a.RowIdx[k], j, complex(a.Val[k], 0))
 			}
+			d.ZAdd(j, j, -p.Z)
 		}
-		for i := 0; i < n; i++ {
-			d.Add(i, i, -p.Z)
-		}
-		inv, err := zdense.Inverse(d)
+		inv, err := dense.Inverse(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			out[i] += real(p.Weight * inv.At(i, i))
+			out[i] += real(p.Weight * inv.ZAt(i, i))
 		}
 	}
 	return out

@@ -131,6 +131,7 @@ func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 			sr := selinv.SelInv(lu)
 			elapsed = time.Since(t0)
 			diag = diagonalOf(an, sr.Ainv.At)
+			sr.Release()
 		} else {
 			plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{
 				Scheme: cfg.Scheme, Seed: cfg.Seed + uint64(l),

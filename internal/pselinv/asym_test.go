@@ -1,6 +1,7 @@
 package pselinv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -36,21 +37,8 @@ func runAsymAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *sel
 	if err != nil {
 		t.Fatalf("asym grid %v scheme %v: %v", grid, scheme, err)
 	}
-	refKeys := ref.Ainv.Keys()
-	gotKeys := res.Ainv.Keys()
-	if len(refKeys) != len(gotKeys) {
-		t.Fatalf("asym grid %v scheme %v: %d blocks, want %d", grid, scheme, len(gotKeys), len(refKeys))
-	}
-	for _, key := range refKeys {
-		want := ref.Ainv.MustGet(key.I, key.J)
-		got, ok := res.Ainv.Get(key.I, key.J)
-		if !ok {
-			t.Fatalf("asym grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
-		}
-		if d := got.MaxAbsDiff(want); d > 1e-9 {
-			t.Fatalf("asym grid %v scheme %v: block (%d,%d) differs by %g", grid, scheme, key.I, key.J, d)
-		}
-	}
+	CompareToReference(t, fmt.Sprintf("asym grid %v scheme %v", grid, scheme),
+		ref, res.Ainv, grid.Size() == 1, 1e-9)
 	return res
 }
 

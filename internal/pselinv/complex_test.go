@@ -1,16 +1,16 @@
 // Complex parity suite: the distributed engine running a complex-shifted
-// factorization against the serial zselinv reference. Both sides share the
+// factorization against the serial selinv reference. Both sides share the
 // factorization and the element-generic dense kernels, and a one-rank run
 // uses the reference's bracketing exactly, so at P=1 the result must be
 // BIT-identical. At P>1 partial sums form inside the reduce trees, so the
 // bracketing depends on the plan: every scheme, balancer and DAG setting
-// must then agree with the reference to within zselinv.RelTol relative to
+// must then agree with the reference to within selinv.RelTol relative to
 // its largest entry. The file lives in the external test package so it can
-// import internal/zselinv (which has no dependency back on pselinv).
+// import internal/chaos/chaostest, which depends on pselinv.
 package pselinv_test
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"pselinv/internal/chaos"
@@ -22,15 +22,15 @@ import (
 	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
+	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // prepComplex analyzes g, factorizes A − zI once, and runs the serial
 // reference over that same factorization — the engine under test consumes
 // the identical LU object, so any bit difference is the engine's own.
 func prepComplex(t testing.TB, g *sparse.Generated, opt etree.Options,
-	z complex128) (*etree.Analysis, *factor.LU, *zselinv.Result) {
+	z complex128) (*etree.Analysis, *factor.LU, *selinv.Result) {
 	t.Helper()
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, opt)
@@ -38,17 +38,16 @@ func prepComplex(t testing.TB, g *sparse.Generated, opt etree.Options,
 	if err != nil {
 		t.Fatalf("%s: %v", g.Name, err)
 	}
-	return an, lu, zselinv.SelInvFromLU(lu, z)
+	return an, lu, selinv.SelInv(lu)
 }
 
 // runComplexAndCompare runs the parallel engine and compares every block
 // with the serial reference: bit-identical (math.Float64bits on the
-// interleaved storage) on one rank, within zselinv.RelTol otherwise.
+// interleaved storage) on one rank, within selinv.RelTol otherwise.
 func runComplexAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU,
-	ref *zselinv.Result, grid *procgrid.Grid, scheme core.Scheme,
+	ref *selinv.Result, grid *procgrid.Grid, scheme core.Scheme,
 	balancer core.Balancer, dag bool) {
 	t.Helper()
-	tol := zselinv.RelTol * ref.Scale()
 	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{
 		Scheme: scheme, Seed: 1, Symmetric: false, Balancer: balancer,
 	})
@@ -62,40 +61,13 @@ func runComplexAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU,
 	if cerr := res.World.CheckConservation(); cerr != nil {
 		t.Fatalf("grid %v scheme %v: %v", grid, scheme, cerr)
 	}
-	if got, want := res.Ainv.NumBlocks(), len(ref.Ainv); got != want {
-		t.Fatalf("grid %v scheme %v: %d blocks computed, want %d", grid, scheme, got, want)
-	}
-	for key, want := range ref.Ainv {
-		got, ok := res.Ainv.Get(key.I, key.J)
-		if !ok {
-			t.Fatalf("grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
-		}
-		if got.Elem != dense.Complex {
-			t.Fatalf("block (%d,%d) is %v, want Complex", key.I, key.J, got.Elem)
-		}
-		if len(got.Data) != len(want.Data) {
-			t.Fatalf("block (%d,%d): payload %d words, want %d", key.I, key.J, len(got.Data), len(want.Data))
-		}
-		if grid.Size() > 1 {
-			if d := got.MaxAbsDiff(want); d > tol {
-				t.Fatalf("grid %v scheme %v balancer %v dag %v: block (%d,%d) off by %g (tolerance %g)",
-					grid, scheme, balancer, dag, key.I, key.J, d, tol)
-			}
-			continue
-		}
-		for x := range want.Data {
-			if math.Float64bits(got.Data[x]) != math.Float64bits(want.Data[x]) {
-				t.Fatalf("grid %v scheme %v balancer %v dag %v: block (%d,%d) word %d: %x != %x — not bit-identical",
-					grid, scheme, balancer, dag, key.I, key.J, x,
-					math.Float64bits(got.Data[x]), math.Float64bits(want.Data[x]))
-			}
-		}
-	}
+	pselinv.CompareToReference(t, fmt.Sprintf("grid %v scheme %v balancer %v dag %v", grid, scheme, balancer, dag),
+		ref, res.Ainv, grid.Size() == 1, selinv.RelTol*ref.Scale())
 }
 
 // TestComplexParallelBitIdenticalToSerial is the headline parity matrix:
 // P ∈ {1, 4} × {flat, binary, shifted} × {cyclic, work}, bit-identical at
-// P=1 and within zselinv.RelTol at P=4.
+// P=1 and within selinv.RelTol at P=4.
 func TestComplexParallelBitIdenticalToSerial(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 3)
 	an, lu, ref := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(0.5, 1.5))

@@ -1,11 +1,14 @@
 package pselinv
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -31,8 +34,10 @@ func prep(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis
 	return an, lu, selinv.SelInv(lu)
 }
 
-// runAndCompare runs the parallel engine and compares block-for-block with
-// the sequential reference.
+// runAndCompare runs the parallel engine on a symmetric plan and compares
+// block-for-block with the sequential reference. Symmetric plans mirror
+// their upper blocks instead of computing them, so even one rank is only
+// tolerance-close to the reference.
 func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *selinv.Result,
 	grid *procgrid.Grid, scheme core.Scheme, seed uint64) *RunResult {
 	t.Helper()
@@ -44,23 +49,44 @@ func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *selinv.
 	if cerr := res.World.CheckConservation(); cerr != nil {
 		t.Fatalf("grid %v scheme %v: %v", grid, scheme, cerr)
 	}
-	refKeys := ref.Ainv.Keys()
-	gotKeys := res.Ainv.Keys()
-	if len(refKeys) != len(gotKeys) {
-		t.Fatalf("grid %v scheme %v: %d blocks computed, want %d",
-			grid, scheme, len(gotKeys), len(refKeys))
-	}
-	for _, key := range refKeys {
-		want := ref.Ainv.MustGet(key.I, key.J)
-		got, ok := res.Ainv.Get(key.I, key.J)
-		if !ok {
-			t.Fatalf("grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
-		}
-		if d := got.MaxAbsDiff(want); d > 1e-9 {
-			t.Fatalf("grid %v scheme %v: block (%d,%d) differs by %g", grid, scheme, key.I, key.J, d)
-		}
-	}
+	CompareToReference(t, fmt.Sprintf("grid %v scheme %v", grid, scheme), ref, res.Ainv, false, 1e-9)
 	return res
+}
+
+// CompareToReference checks a run's selected inverse block for block
+// against the serial reference: the same blocks with the same element type
+// and payload length, bit-identical words (math.Float64bits) when bitwise
+// is set — a one-rank general-plan run uses the reference's bracketing
+// exactly — and at most tol apart otherwise. The external test package's
+// complex parity suite uses it too.
+func CompareToReference(t testing.TB, label string, ref *selinv.Result, got *blockmat.BlockMatrix, bitwise bool, tol float64) {
+	t.Helper()
+	if n, want := got.NumBlocks(), ref.Ainv.NumBlocks(); n != want {
+		t.Fatalf("%s: %d blocks computed, want %d", label, n, want)
+	}
+	for _, key := range ref.Ainv.Keys() {
+		want := ref.Ainv.MustGet(key.I, key.J)
+		b, ok := got.Get(key.I, key.J)
+		if !ok {
+			t.Fatalf("%s: block (%d,%d) missing", label, key.I, key.J)
+		}
+		if b.Elem != want.Elem || len(b.Data) != len(want.Data) {
+			t.Fatalf("%s: block (%d,%d) is %v with %d words, want %v with %d",
+				label, key.I, key.J, b.Elem, len(b.Data), want.Elem, len(want.Data))
+		}
+		if !bitwise {
+			if d := b.MaxAbsDiff(want); d > tol {
+				t.Fatalf("%s: block (%d,%d) differs by %g (tolerance %g)", label, key.I, key.J, d, tol)
+			}
+			continue
+		}
+		for x := range want.Data {
+			if math.Float64bits(b.Data[x]) != math.Float64bits(want.Data[x]) {
+				t.Fatalf("%s: block (%d,%d) word %d: %x != %x — not bit-identical",
+					label, key.I, key.J, x, math.Float64bits(b.Data[x]), math.Float64bits(want.Data[x]))
+			}
+		}
+	}
 }
 
 func TestParallelMatchesSequentialAcrossGrids(t *testing.T) {

@@ -1,142 +1,121 @@
 // Package selinv implements the sequential selected inversion algorithm
-// (Algorithm 1 of the paper) on the supernodal block storage. It serves as
-// the correctness reference for the distributed implementation in
-// internal/pselinv, and as the building block of the public API's
-// single-process path.
+// (Algorithm 1 of the paper) on the supernodal block storage, for real
+// factorizations and for the complex-shifted ones of pole expansion alike:
+// the element type comes from the factorization and every dense kernel
+// dispatches on it. It is the correctness reference for the distributed
+// engine in internal/pselinv and the single-process path of the public
+// API.
+//
+// The second pass uses the engine's one-rank bracketing: every
+// contribution to a target block accumulates into one zeroed sum with a
+// beta=1 GEMM, in ascending structure order, and the sum is negated
+// (off-diagonal) or subtracted from the diagonal inverse. A one-rank
+// general-plan engine run therefore reproduces this reference bit for bit;
+// a multi-rank run also folds partial sums inside the reduce trees and
+// agrees to within RelTol.
 package selinv
 
 import (
+	"math"
+
 	"pselinv/internal/blockmat"
 	"pselinv/internal/dense"
-	"pselinv/internal/etree"
 	"pselinv/internal/factor"
 )
 
+// RelTol is the stated agreement between a parallel run on any plan and
+// this reference: the largest entrywise difference, relative to the
+// largest entry of the reference (Result.Scale).
+const RelTol = 1e-12
+
 // Result holds the outcome of selected inversion.
 type Result struct {
-	BP *etree.BlockPattern
-	// Ainv stores the selected blocks of A⁻¹: all diagonal blocks, all
-	// lower-pattern blocks (I, K), and their upper mirrors (K, I).
+	// Ainv stores the selected blocks of A⁻¹, with the factorization's
+	// element type: all diagonal blocks, all lower-pattern blocks (I, K),
+	// and their upper mirrors (K, I). The blocks live on the dense arena.
 	Ainv *blockmat.BlockMatrix
-	// Lhat stores L̂_{I,K} = L_{I,K} L_KK⁻¹ (pass 1 output, lower blocks).
-	Lhat *blockmat.BlockMatrix
-	// Uhat stores Û_{K,I} = U_KK⁻¹ U_{K,I} (pass 1 output, upper blocks).
-	Uhat *blockmat.BlockMatrix
-	// SelInvFlops counts floating-point operations of both passes; the
-	// timing simulator uses it for computation costs.
-	SelInvFlops int64
 }
 
-// Pass1 computes the normalized factors L̂ and Û from a block LU
-// factorization (the first loop of Algorithm 1). The returned block
-// matrices hold (I, K) and (K, I) blocks respectively.
-func Pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix, flops int64) {
-	bp := lu.BP
-	part := bp.Part
-	lhat = blockmat.New(part)
-	uhat = blockmat.New(part)
-	for k := bp.NumSnodes() - 1; k >= 0; k-- {
-		dk := lu.Diag[k]
-		w := part.Width(k)
-		for _, i := range bp.Struct(k) {
-			if lb, ok := lu.LBlock(i, k); ok {
-				x := lb.Clone()
-				// L̂_{I,K} = L_{I,K} L_KK⁻¹  (right solve, unit lower).
-				dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
-				lhat.Set(i, k, x)
-				flops += dense.TrsmFlops(w, x.Rows)
-			}
-			if ub, ok := lu.UBlock(k, i); ok {
-				x := ub.Clone()
-				// Û_{K,I} = U_KK⁻¹ U_{K,I}  (left solve, non-unit upper).
-				dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, x)
-				uhat.Set(k, i, x)
-				flops += dense.TrsmFlops(w, x.Cols)
-			}
-		}
-	}
-	return lhat, uhat, flops
+// Scale returns the largest magnitude among the stored words (real and
+// imaginary parts) of every block: the denominator of RelTol comparisons.
+func (r *Result) Scale() float64 {
+	s := 0.0
+	r.Ainv.Range(func(_ blockmat.Key, m *dense.Matrix) { s = math.Max(s, m.MaxAbs()) })
+	return s
 }
 
-// SelInv runs both passes of Algorithm 1 and returns the selected inverse.
+// Release returns every block of the selected inverse to the dense arena.
+// The result must not be used afterwards. Callers that extract what they
+// need (like the batch engine's diagonal readout) release each result so
+// the next run reuses the same storage; callers that hand the blocks on
+// (the root API's Inverse) must not.
+func (r *Result) Release() {
+	r.Ainv.Range(func(_ blockmat.Key, m *dense.Matrix) { dense.PutMatrix(m) })
+	r.Ainv = nil
+}
+
+// SelInv runs both passes of Algorithm 1 over a real or complex block LU
+// factorization and returns the selected inverse.
 func SelInv(lu *factor.LU) *Result {
 	bp := lu.BP
 	part := bp.Part
-	res := &Result{BP: bp, Ainv: blockmat.New(part)}
-	var f1 int64
-	res.Lhat, res.Uhat, f1 = Pass1(lu)
-	res.SelInvFlops = f1
-	ainv := res.Ainv
+	elem := lu.Elem
+
+	// Pass 1: L̂_{I,K} = L_{I,K}·L_KK⁻¹ at (I, K) and Û_{K,I} = U_KK⁻¹·U_{K,I}
+	// at (K, I) — disjoint keys, so one block matrix holds both. The
+	// normalized copies live on the dense arena and are recycled when the
+	// call ends, so repeated inversions reuse their storage.
+	hat := blockmat.NewElem(part, elem)
+	defer hat.Range(func(_ blockmat.Key, m *dense.Matrix) { dense.PutMatrix(m) })
+	for k := bp.NumSnodes() - 1; k >= 0; k-- {
+		dk := lu.Diag[k]
+		for _, i := range bp.Struct(k) {
+			x := dense.GetMatrixCopy(lu.F.MustGet(i, k))
+			dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
+			hat.Set(i, k, x)
+			y := dense.GetMatrixCopy(lu.F.MustGet(k, i))
+			dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, y)
+			hat.Set(k, i, y)
+		}
+	}
+
 	// Pass 2: supernodes in descending order (top-down elimination tree
 	// traversal). When processing K, every block A⁻¹_{J,I} with I, J ∈ C(K)
 	// has already been finalized by iterations I, J > K.
+	ainv := blockmat.NewElem(part, elem)
 	for k := bp.NumSnodes() - 1; k >= 0; k-- {
 		c := bp.Struct(k)
-		w := part.Width(k)
-		// A⁻¹_{J,K} = -Σ_{I∈C} A⁻¹_{J,I} L̂_{I,K}   (step 3)
+		wk := part.Width(k)
+		// Lower targets: A⁻¹_{J,K} = −Σ_{I∈C} A⁻¹_{J,I}·L̂_{I,K}.
 		for _, j := range c {
-			target := ainv.EnsureZero(j, k)
+			sum := dense.GetMatrixElem(part.Width(j), wk, elem)
 			for _, i := range c {
-				lb, ok := res.Lhat.Get(i, k)
-				if !ok {
-					continue
-				}
-				aji := mustAinv(ainv, j, i)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, aji, lb, 1, target)
-				res.SelInvFlops += dense.GemmFlops(aji.Rows, lb.Cols, lb.Rows)
+				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, ainv.MustGet(j, i), hat.MustGet(i, k), 1, sum)
 			}
+			sum.Scale(-1)
+			ainv.Set(j, k, sum)
 		}
-		// A⁻¹_{K,J} = -Σ_{I∈C} Û_{K,I} A⁻¹_{I,J}   (step 5)
+		// Upper targets: A⁻¹_{K,J} = −Σ_{I∈C} Û_{K,I}·A⁻¹_{I,J}.
 		for _, j := range c {
-			target := ainv.EnsureZero(k, j)
+			sum := dense.GetMatrixElem(wk, part.Width(j), elem)
 			for _, i := range c {
-				ub, ok := res.Uhat.Get(k, i)
-				if !ok {
-					continue
-				}
-				aij := mustAinv(ainv, i, j)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, ub, aij, 1, target)
-				res.SelInvFlops += dense.GemmFlops(ub.Rows, aij.Cols, ub.Cols)
+				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, hat.MustGet(k, i), ainv.MustGet(i, j), 1, sum)
 			}
+			sum.Scale(-1)
+			ainv.Set(k, j, sum)
 		}
-		// A⁻¹_{K,K} = U_KK⁻¹ L_KK⁻¹ − Û_{K,C} A⁻¹_{C,K}   (step 4)
-		diag := lu.DiagInverse(k)
-		res.SelInvFlops += 2 * int64(w) * int64(w) * int64(w)
-		for _, i := range c {
-			ub, ok := res.Uhat.Get(k, i)
-			if !ok {
-				continue
+		// Diagonal: A⁻¹_{K,K} = (A_KK)⁻¹ − Σ_{J∈C} Û_{K,J}·A⁻¹_{J,K}.
+		d := dense.GetMatrixUninitElem(wk, wk, elem)
+		lu.DiagInverseTo(k, d)
+		if len(c) > 0 {
+			sum := dense.GetMatrixElem(wk, wk, elem)
+			for _, j := range c {
+				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, hat.MustGet(k, j), ainv.MustGet(j, k), 1, sum)
 			}
-			aik := ainv.MustGet(i, k)
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, ub, aik, 1, diag)
-			res.SelInvFlops += dense.GemmFlops(ub.Rows, aik.Cols, ub.Cols)
+			d.AddScaled(-1, sum)
+			dense.PutMatrix(sum)
 		}
-		ainv.Set(k, k, diag)
+		ainv.Set(k, k, d)
 	}
-	return res
-}
-
-// mustAinv fetches A⁻¹_{I,J} from either triangle; the closed block pattern
-// guarantees presence, so absence is a bug.
-func mustAinv(ainv *blockmat.BlockMatrix, i, j int) *dense.Matrix {
-	return ainv.MustGet(i, j)
-}
-
-// SymmetryCheck returns the maximum of |Û_{K,I} − L̂_{I,K}ᵀ| over all
-// off-diagonal blocks — the identity the distributed symmetric
-// implementation relies on (§II-B of the paper). Zero (to rounding) for
-// matrices with symmetric values.
-func (r *Result) SymmetryCheck() float64 {
-	worst := 0.0
-	for _, key := range r.Lhat.Keys() {
-		lb := r.Lhat.MustGet(key.I, key.J)
-		ub, ok := r.Uhat.Get(key.J, key.I)
-		if !ok {
-			continue
-		}
-		if d := ub.MaxAbsDiff(lb.Transpose()); d > worst {
-			worst = d
-		}
-	}
-	return worst
+	return &Result{Ainv: ainv}
 }

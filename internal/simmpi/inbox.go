@@ -28,7 +28,7 @@ type Inbox struct {
 	// capacity, when positive, bounds count; blocked counts Push calls
 	// that had to wait for a slot (atomic, readable mid-run).
 	capacity int
-	blocked  int64
+	blocked  atomic.Int64
 
 	// dst is the owning rank; adv, when non-nil, chooses which pending
 	// message each pop delivers (set via SetAdversary before traffic).
@@ -70,7 +70,7 @@ func (in *Inbox) SetAdversary(a Adversary) {
 
 // BlockedSends returns how many Push calls have blocked on a full box so
 // far. Safe to call concurrently with traffic.
-func (in *Inbox) BlockedSends() int64 { return atomic.LoadInt64(&in.blocked) }
+func (in *Inbox) BlockedSends() int64 { return in.blocked.Load() }
 
 // pushLocked appends msg, growing (and linearizing) the ring when full.
 func (in *Inbox) pushLocked(msg Message) {
@@ -104,7 +104,7 @@ func (in *Inbox) popLocked() Message {
 func (in *Inbox) Push(msg Message) int {
 	in.mu.Lock()
 	if in.capacity > 0 && msg.Src != in.dst && in.count >= in.capacity && !in.closed {
-		atomic.AddInt64(&in.blocked, 1)
+		in.blocked.Add(1)
 		for in.count >= in.capacity && in.capacity > 0 && !in.closed {
 			in.notFull.Wait()
 		}

@@ -261,7 +261,7 @@ type Transport struct {
 	errMu sync.Mutex
 	err   error
 
-	dialRetries int64
+	dialRetries atomic.Int64
 
 	// elem is the element tag announced in (and required of) every hello.
 	elem byte
@@ -453,7 +453,7 @@ func (t *Transport) dialRetry(addr string, deadline time.Time) (net.Conn, error)
 		if time.Until(deadline) <= backoff {
 			return nil, err
 		}
-		atomic.AddInt64(&t.dialRetries, 1)
+		t.dialRetries.Add(1)
 		time.Sleep(backoff)
 		if backoff < 250*time.Millisecond {
 			backoff *= 2
@@ -554,7 +554,7 @@ func (t *Transport) Err() error {
 
 // DialRetries returns how many dial attempts were retried during setup
 // (a mesh-formation health signal surfaced by the worker).
-func (t *Transport) DialRetries() int64 { return atomic.LoadInt64(&t.dialRetries) }
+func (t *Transport) DialRetries() int64 { return t.dialRetries.Load() }
 
 // writer drains one link's outbound queue, encoding frames into a reused
 // buffer and batching flushes: a burst of sends coalesces into one syscall.

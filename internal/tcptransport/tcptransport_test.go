@@ -282,7 +282,7 @@ func TestDialRetryBackoff(t *testing.T) {
 	if err == nil {
 		t.Fatal("dial to a refused port succeeded")
 	}
-	if tr.dialRetries == 0 {
+	if tr.dialRetries.Load() == 0 {
 		t.Error("no retries recorded")
 	}
 }

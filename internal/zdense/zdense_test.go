@@ -1,3 +1,8 @@
+// Package zdense is the complex-element conformance suite of
+// internal/dense. It has no non-test code: it drives dense's public GEMM,
+// triangular-solve, LU and inverse entry points with interleaved complex128
+// matrices, the storage the pole-expansion (PEXSI) path factors and
+// inverts, and checks each against a direct complex computation.
 package zdense
 
 import (
@@ -5,59 +10,84 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pselinv/internal/dense"
 )
 
-func randMat(rng *rand.Rand, m, n int) *Matrix {
-	a := NewMatrix(m, n)
+func randMat(rng *rand.Rand, m, n int) *dense.Matrix {
+	a := dense.NewComplexMatrix(m, n)
 	for i := range a.Data {
-		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		a.Data[i] = rng.NormFloat64()
 	}
 	return a
 }
 
-func randShifted(rng *rand.Rand, n int) *Matrix {
+func randShifted(rng *rand.Rand, n int) *dense.Matrix {
 	// Random + strong imaginary diagonal shift: safely nonsingular and
 	// stable for unpivoted LU — the pole-expansion regime.
 	a := randMat(rng, n, n)
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for j := 0; j < n; j++ {
-			s += cmplx.Abs(a.At(i, j))
+			s += cmplx.Abs(a.ZAt(i, j))
 		}
-		a.Set(i, i, a.At(i, i)+complex(s+1, s+1))
+		a.ZAdd(i, i, complex(s+1, s+1))
 	}
 	return a
+}
+
+func eye(n int) *dense.Matrix {
+	e := dense.NewComplexMatrix(n, n)
+	for i := 0; i < n; i++ {
+		e.ZSet(i, i, 1)
+	}
+	return e
+}
+
+// gemmNaive returns alpha*a*b + beta*c by the textbook complex loop.
+func gemmNaive(alpha float64, a, b *dense.Matrix, beta float64, c *dense.Matrix) *dense.Matrix {
+	want := dense.NewComplexMatrix(a.Rows, b.Cols)
+	for j := 0; j < b.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			var s complex128
+			for k := 0; k < a.Cols; k++ {
+				s += a.ZAt(i, k) * b.ZAt(k, j)
+			}
+			want.ZSet(i, j, complex(alpha, 0)*s+complex(beta, 0)*c.ZAt(i, j))
+		}
+	}
+	return want
+}
+
+func mul(a, b *dense.Matrix) *dense.Matrix {
+	return dense.Mul(dense.NoTrans, dense.NoTrans, a, b)
 }
 
 func TestGemmAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMat(rng, 4, 3)
 	b := randMat(rng, 3, 5)
-	got := Mul(a, b)
-	want := NewMatrix(4, 5)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			var s complex128
-			for k := 0; k < 3; k++ {
-				s += a.At(i, k) * b.At(k, j)
-			}
-			want.Set(i, j, s)
-		}
+	got := mul(a, b)
+	if got.Elem != dense.Complex {
+		t.Fatalf("product is %v, want complex", got.Elem)
 	}
+	want := gemmNaive(1, a, b, 0, dense.NewComplexMatrix(4, 5))
 	if d := got.MaxAbsDiff(want); d > 1e-12 {
 		t.Fatalf("gemm diff %g", d)
 	}
 }
 
+// TestGemmAlphaBeta checks the real alpha/beta coefficients act on the
+// complex product and accumulator as complex scalars would.
 func TestGemmAlphaBeta(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randMat(rng, 3, 3)
 	b := randMat(rng, 3, 3)
 	c := randMat(rng, 3, 3)
 	c0 := c.Clone()
-	alpha, beta := complex(0.5, 1.5), complex(-1, 0.25)
-	Gemm(alpha, a, b, beta, c)
-	want := Mul(a, b)
+	alpha, beta := 0.5, -1.25
+	dense.Gemm(dense.NoTrans, dense.NoTrans, alpha, a, b, beta, c)
+	want := mul(a, b)
 	want.Scale(alpha)
 	c0.Scale(beta)
 	want.AddScaled(1, c0)
@@ -69,37 +99,37 @@ func TestGemmAlphaBeta(t *testing.T) {
 func TestTrsmAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 6, 4
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []UpLo{Lower, Upper} {
-			for _, dg := range []Diag{NonUnit, Unit} {
-				tri := NewMatrix(n, n)
+	for _, side := range []dense.Side{dense.Left, dense.Right} {
+		for _, uplo := range []dense.UpLo{dense.Lower, dense.Upper} {
+			for _, dg := range []dense.Diag{dense.NonUnit, dense.Unit} {
+				tri := dense.NewComplexMatrix(n, n)
 				for j := 0; j < n; j++ {
 					for i := 0; i < n; i++ {
-						if (uplo == Lower && i > j) || (uplo == Upper && i < j) {
-							tri.Set(i, j, complex(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3))
+						if (uplo == dense.Lower && i > j) || (uplo == dense.Upper && i < j) {
+							tri.ZSet(i, j, complex(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3))
 						}
 					}
-					tri.Set(j, j, complex(2+rng.Float64(), 1))
+					tri.ZSet(j, j, complex(2+rng.Float64(), 1))
 				}
-				var b *Matrix
-				if side == Left {
+				var b *dense.Matrix
+				if side == dense.Left {
 					b = randMat(rng, n, m)
 				} else {
 					b = randMat(rng, m, n)
 				}
 				x := b.Clone()
-				Trsm(side, uplo, dg, tri, x)
+				dense.Trsm(side, uplo, dense.NoTrans, dg, tri, x)
 				eff := tri.Clone()
-				if dg == Unit {
+				if dg == dense.Unit {
 					for i := 0; i < n; i++ {
-						eff.Set(i, i, 1)
+						eff.ZSet(i, i, 1)
 					}
 				}
-				var back *Matrix
-				if side == Left {
-					back = Mul(eff, x)
+				var back *dense.Matrix
+				if side == dense.Left {
+					back = mul(eff, x)
 				} else {
-					back = Mul(x, eff)
+					back = mul(x, eff)
 				}
 				if d := back.MaxAbsDiff(b); d > 1e-9 {
 					t.Errorf("side=%v uplo=%v diag=%v residual %g", side, uplo, dg, d)
@@ -114,47 +144,36 @@ func TestLUAndInverse(t *testing.T) {
 	for n := 1; n <= 12; n++ {
 		a := randShifted(rng, n)
 		f := a.Clone()
-		if err := LU(f); err != nil {
+		if err := dense.LU(f); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		inv, err := Inverse(a)
+		inv, err := dense.Inverse(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if d := Mul(a, inv).MaxAbsDiff(Eye(n)); d > 1e-9 {
+		if d := mul(a, inv).MaxAbsDiff(eye(n)); d > 1e-9 {
 			t.Fatalf("n=%d: |A·A⁻¹ − I| = %g", n, d)
 		}
 	}
 }
 
 func TestLUZeroPivot(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	if err := LU(a); err == nil {
+	a := dense.NewComplexMatrix(2, 2)
+	a.ZSet(0, 1, 1)
+	a.ZSet(1, 0, 1)
+	if err := dense.LU(a); err == nil {
 		t.Fatal("expected zero-pivot error")
 	}
 }
 
 func TestInverseSingular(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	if _, err := Inverse(a); err == nil {
+	a := dense.NewComplexMatrix(2, 2)
+	a.ZSet(0, 0, 1)
+	a.ZSet(0, 1, 2)
+	a.ZSet(1, 0, 2)
+	a.ZSet(1, 1, 4)
+	if _, err := dense.Inverse(a); err == nil {
 		t.Fatal("expected singularity error")
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	a := NewMatrix(2, 2)
-	if !a.IsFinite() {
-		t.Fatal("zero matrix not finite")
-	}
-	a.Set(0, 0, cmplx.Inf())
-	if a.IsFinite() {
-		t.Fatal("Inf not detected")
 	}
 }
 
@@ -164,13 +183,58 @@ func TestQuickInverse(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(10)
 		a := randShifted(rng, n)
-		inv, err := Inverse(a)
+		inv, err := dense.Inverse(a)
 		if err != nil {
 			return false
 		}
-		return Mul(inv, a).MaxAbsDiff(Eye(n)) < 1e-8
+		return mul(inv, a).MaxAbsDiff(eye(n)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGemm4MParity pins the public complex GEMM against the direct complex
+// loop on shapes on both sides of the switch from the interleaved loop to
+// the real-kernel path (which replaced the former 4M split), with general
+// real alpha/beta. The paths sum in different orders, so parity is
+// tolerance-level, scaled to the inner-product length.
+func TestGemm4MParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alpha, beta := 0.75, -0.5
+	for _, dims := range [][3]int{
+		{8, 8, 8},
+		{32, 32, 32},
+		{40, 33, 37},
+		{64, 64, 64},
+		{128, 16, 16},
+	} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a := randMat(rng, m, k)
+		b := randMat(rng, k, n)
+		c := randMat(rng, m, n)
+		want := gemmNaive(alpha, a, b, beta, c)
+		dense.Gemm(dense.NoTrans, dense.NoTrans, alpha, a, b, beta, c)
+		if d := c.MaxAbsDiff(want); d > 1e-12*float64(k) {
+			t.Fatalf("%dx%dx%d: complex gemm differs from naive by %g", m, k, n, d)
+		}
+	}
+}
+
+// TestGemm4MParityStriped re-runs the parity check with the real kernels'
+// worker pool raised, on a product large enough that the real-kernel path
+// stripes it across the pool.
+func TestGemm4MParityStriped(t *testing.T) {
+	dense.SetWorkers(4)
+	defer dense.SetWorkers(0)
+	rng := rand.New(rand.NewSource(8))
+	m, k, n := 128, 96, 128
+	a := randMat(rng, m, k)
+	b := randMat(rng, k, n)
+	c := dense.NewComplexMatrix(m, n)
+	want := gemmNaive(1, a, b, 0, c)
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, a, b, 0, c)
+	if d := c.MaxAbsDiff(want); d > 1e-12*float64(k) {
+		t.Fatalf("striped complex gemm differs from naive by %g", d)
 	}
 }

@@ -54,7 +54,6 @@ import (
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 	"pselinv/internal/trace"
-	"pselinv/internal/zselinv"
 )
 
 // Matrix is a sparse symmetric matrix accepted by the solver pipeline.
@@ -576,19 +575,11 @@ func (inv *Inverse) Diagonal() []float64 {
 	return d
 }
 
-// SelInv computes the selected inverse sequentially — the reference
-// Algorithm 1 for real systems, the complex reference for shifted systems
-// (one-rank parallel runs reproduce it bit for bit, multi-rank runs to
-// within 1e-12 relative to its largest entry).
+// SelInv computes the selected inverse sequentially with the reference
+// Algorithm 1, real or complex (one-rank general-plan parallel runs
+// reproduce it bit for bit, multi-rank runs to within 1e-12 relative to
+// its largest entry).
 func (s *System) SelInv() (*Inverse, error) {
-	if s.lu.Elem == dense.Complex {
-		zr := zselinv.SelInvFromLU(s.lu, 0)
-		bm := blockmat.NewElem(s.an.BP.Part, dense.Complex)
-		for key, b := range zr.Ainv {
-			bm.Set(key.I, key.J, b)
-		}
-		return &Inverse{an: s.an, ainv: bm}, nil
-	}
 	res := selinv.SelInv(s.lu)
 	return &Inverse{an: s.an, ainv: res.Ainv}, nil
 }
